@@ -63,12 +63,7 @@ def _cmd_solve(args) -> int:
         mode="all" if args.all else "first",
         max_solutions=args.max_solutions,
         use_symmetry=args.symmetric,
-        parallel=args.parallel,
     )
-    if args.symmetric and args.all and inst.n - 3 > 22 and args.max_solutions is None:
-        print("error: --symmetric --all enumerates 2^(n-3) candidate paths; "
-              "pass --max-solutions for n this large", file=sys.stderr)
-        return 2
     try:
         solutions = solve(inst, opts)
     except InvalidInstanceError as exc:
@@ -147,8 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=eps_default, help="pruning tolerance")
     p.add_argument("--max-solutions", type=int, default=None)
     p.add_argument("--symmetric", action="store_true",
-                   help="find one solution, reconstruct the rest by reflections")
-    p.add_argument("--parallel", action="store_true", help="multi-worker tree search")
+                   help="find one solution, reach the rest by suffix reflections")
     p.add_argument("--out", default=None, help="write realizations here")
     p.set_defaults(func=_cmd_solve)
 

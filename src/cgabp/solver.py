@@ -1,16 +1,16 @@
 """Branch & Prune search over the binary tree of torsion-sign choices.
 
-Candidate positions come from the conformal versor construction; pruning
-tests every known distance into the newly placed vertex.  Sibling
-solutions can be reconstructed from one solution by reflecting suffixes
-through predecessor planes instead of re-searching.
+One depth-first walk, ``_search``, serves every mode.  Its children are
+either the two conformal versor placements of the next vertex, or, in
+symmetry mode, one solution kept as is or with its suffix reflected
+through the plane of the three predecessors.  Either way, pruning tests
+every known distance into the vertex just fixed, so every edge is checked
+when its higher endpoint is fixed and leaves need no further verification.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,12 +45,14 @@ class BranchPath:
 
 @dataclass(frozen=True)
 class SolveOptions:
+    """Search settings.  ``use_symmetry`` derives the solutions from the
+    first one found by suffix reflections instead of new placements; the
+    result is the same as without it."""
+
     eps: float = 1e-4                 # pruning tolerance, angstroms
     mode: str = "all"                 # "all" | "first"
     max_solutions: int | None = None
     use_symmetry: bool = False
-    parallel: bool = False
-    workers: int = 4
 
     def __post_init__(self):
         if self.eps <= 0:
@@ -99,48 +101,57 @@ def _candidates(points: np.ndarray, coords: InternalCoords, vertex: int):
     return extract_point(plus), extract_point(minus)
 
 
-def _search(inst: Instance, coords: InternalCoords, prefix: np.ndarray,
-            signs: list[int], opts: SolveOptions, out: list) -> bool:
-    """Depth-first extension of ``prefix``; returns True when the caller
-    should stop (solution cap reached)."""
-    i = len(prefix) + 1
-    if i > inst.n:
-        realization = prefix.copy()
-        max_viol, _ = verify_realization(inst, realization, opts.eps)
-        if max_viol <= opts.eps:
-            out.append((realization, BranchPath(tuple(signs))))
-            if opts.mode == "first":
-                return True
-            if opts.max_solutions is not None and len(out) >= opts.max_solutions:
-                return True
-        return False
-    plus, minus = _candidates(prefix, coords, i)
-    for sign, candidate in ((1, plus), (-1, minus)):
-        extended = np.vstack([prefix, candidate])
-        if not prune_check(extended, inst, opts.eps):
+def _search(inst: Instance, children, points: np.ndarray, signs: list[int],
+            opts: SolveOptions, out: list) -> bool:
+    """Depth-first walk of the sign tree below ``points``.
+
+    ``children(points, signs, vertex)`` yields ``(sign, child)`` pairs, +
+    before -, where ``child`` fixes vertex ``vertex`` (and may hold points
+    beyond it).  A child survives when ``prune_check`` accepts its prefix
+    up to ``vertex``; since every edge is tested when its higher endpoint
+    is fixed, each leaf satisfies every distance within ``eps``.  Returns
+    True when the caller should stop (solution cap reached).
+    """
+    vertex = len(signs) + 4
+    if vertex > inst.n:
+        out.append((points.copy(), BranchPath(tuple(signs))))
+        return opts.mode == "first" or (
+            opts.max_solutions is not None and len(out) >= opts.max_solutions)
+    for sign, child in children(points, signs, vertex):
+        if not prune_check(child[:vertex], inst, opts.eps):
             continue
         signs.append(sign)
-        stop = _search(inst, coords, extended, signs, opts, out)
+        stop = _search(inst, children, child, signs, opts, out)
         signs.pop()
         if stop:
             return True
     return False
 
 
-def _subtree_roots(inst: Instance, coords: InternalCoords, anchor: np.ndarray,
-                   eps: float, depth: int):
-    """Feasible partial placements down to vertex 3 + depth, for fan-out."""
-    roots = [(anchor, [])]
-    for vertex in range(4, min(3 + depth, inst.n) + 1):
-        nxt = []
-        for prefix, signs in roots:
-            plus, minus = _candidates(prefix, coords, vertex)
-            for sign, candidate in ((1, plus), (-1, minus)):
-                extended = np.vstack([prefix, candidate])
-                if prune_check(extended, inst, eps):
-                    nxt.append((extended, signs + [sign]))
-        roots = nxt
-    return roots
+def _placements(coords: InternalCoords):
+    """Children that append one of the two versor placements of ``vertex``."""
+    def children(points, signs, vertex):
+        for sign, candidate in zip((1, -1), _candidates(points, coords, vertex)):
+            yield sign, np.vstack([points, candidate])
+    return children
+
+
+def _reflections(base_signs: tuple[int, ...]):
+    """Children that keep a full realization as is, or reflect its suffix
+    from ``vertex`` on, whichever gives ``vertex`` the child's sign.
+
+    ``points`` comes from the solution with ``base_signs`` by reflections at
+    earlier vertices.  Each flipped every later sign, so ``vertex`` differs
+    from its base sign exactly when its predecessor does.
+    """
+    def children(points, signs, vertex):
+        k = vertex - 4
+        current = base_signs[k]
+        if signs and signs[-1] != base_signs[k - 1]:
+            current = -current
+        for sign in (1, -1):
+            yield sign, points if sign == current else reflect_suffix(points, vertex)
+    return children
 
 
 def solve(inst: Instance, opts: SolveOptions = SolveOptions()):
@@ -150,6 +161,12 @@ def solve(inst: Instance, opts: SolveOptions = SolveOptions()):
     depth-first order (the + branch is explored before -).  An instance
     with no realization yields an empty list; a non-discretizable one
     raises InvalidInstanceError.
+
+    With ``use_symmetry`` the placement search stops at its first
+    solution, and the same walk then runs again with suffix reflections
+    of that solution as children instead of new placements.  It gives the
+    branch paths of plain search, in the same order, with coordinates that
+    agree to rounding error.
     """
     report = validate_instance(inst)
     if not report.is_dmdgp:
@@ -161,36 +178,13 @@ def solve(inst: Instance, opts: SolveOptions = SolveOptions()):
     anchor = initialize_first_three(coords)
     if not prune_check(anchor[:2], inst, opts.eps) or not prune_check(anchor, inst, opts.eps):
         return []
-    if inst.n == 3:
-        return [(anchor, BranchPath(()))]
-    if opts.use_symmetry:
-        return _solve_symmetric(inst, opts, coords, anchor)
-    if opts.parallel and opts.mode == "all":
-        return _solve_parallel(inst, opts, coords, anchor)
     out: list = []
-    _search(inst, coords, anchor, [], opts, out)
+    placement_opts = replace(opts, mode="first") if opts.use_symmetry else opts
+    _search(inst, _placements(coords), anchor, [], placement_opts, out)
+    if opts.use_symmetry and out:
+        (base, path), out = out[0], []
+        _search(inst, _reflections(path.signs), base, [], opts, out)
     return out
-
-
-def _solve_parallel(inst, opts, coords, anchor):
-    depth = max(1, min(opts.workers.bit_length() + 1, inst.n - 3))
-    roots = _subtree_roots(inst, coords, anchor, opts.eps, depth)
-    seq_opts = replace(opts, parallel=False, max_solutions=None)
-
-    def run(root):
-        prefix, signs = root
-        out: list = []
-        _search(inst, coords, prefix, list(signs), seq_opts, out)
-        return out
-
-    solutions: list = []
-    with ThreadPoolExecutor(max_workers=opts.workers) as pool:
-        for chunk in pool.map(run, roots):
-            solutions.extend(chunk)
-    solutions.sort(key=lambda sol: tuple(sol[1].signs))
-    if opts.max_solutions is not None:
-        solutions = solutions[: opts.max_solutions]
-    return solutions
 
 
 def reflect_suffix(realization: np.ndarray, vertex: int) -> np.ndarray:
@@ -236,24 +230,3 @@ def expand_by_symmetry(base, targets, inst: Instance, eps: float = 1e-4):
         if max_viol <= eps:
             out.append(r)
     return out
-
-
-def _solve_symmetric(inst, opts, coords, anchor):
-    """First DFS solution, then reconstruction of the rest by reflections."""
-    first: list = []
-    _search(inst, coords, anchor, [], replace(opts, mode="first", use_symmetry=False,
-                                              parallel=False, max_solutions=None), first)
-    if not first:
-        return []
-    base = first[0]
-    solutions = []
-    all_paths = (BranchPath(signs) for signs in
-                 itertools.product((1, -1), repeat=inst.n - 3))
-    for path in all_paths:
-        for r in expand_by_symmetry(base, [path], inst, opts.eps):
-            solutions.append((r, path))
-        if opts.max_solutions is not None and len(solutions) >= opts.max_solutions:
-            break
-        if opts.mode == "first" and solutions:
-            break
-    return solutions

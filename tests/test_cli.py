@@ -100,11 +100,13 @@ def test_symmetric_mode_matches_plain(tmp_path, capsys):
     assert "solutions: 16" in sym
 
 
-def test_parallel_flag(tmp_path, capsys):
+def test_symmetric_all_on_long_pruned_chain(tmp_path, capsys):
+    # n - 3 = 27 sign choices: the reflection walk prunes like plain search
     inst_file = tmp_path / "i.txt"
-    run(["generate", "--n", "6", "--seed", "11", "--out", str(inst_file)])
-    assert run(["solve", str(inst_file), "--all", "--parallel"]) == 0
-    assert "solutions: 8" in capsys.readouterr().out
+    run(["generate", "--n", "30", "--seed", "30", "--extra-edges", "0.3",
+         "--out", str(inst_file)])
+    assert run(["solve", str(inst_file), "--all", "--symmetric"]) == 0
+    assert "solutions: 2" in capsys.readouterr().out
 
 
 def test_eps_env_override(tmp_path, monkeypatch, capsys):

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgabp.dmdgp import Instance, generate_instance, internal_coordinates
 from cgabp.errors import DegenerateGeometryError, InvalidInstanceError
@@ -17,20 +19,6 @@ from cgabp.solver import (BranchPath, SolveOptions, expand_by_symmetry,
 
 def all_paths(length):
     return [BranchPath(s) for s in itertools.product((1, -1), repeat=length)]
-
-
-def solution_sets_equal(sols_a, sols_b, tol=1e-8):
-    used = set()
-    for ra, _ in sols_a:
-        hit = None
-        for k, (rb, _) in enumerate(sols_b):
-            if k not in used and np.max(np.abs(ra - rb)) <= tol:
-                hit = k
-                break
-        if hit is None:
-            return False
-        used.add(hit)
-    return len(used) == len(sols_b) == len(sols_a)
 
 
 class TestAnchor:
@@ -125,12 +113,6 @@ class TestSolve:
         assert len(solve(inst, SolveOptions(mode="first"))) == 1
         assert len(solve(inst, SolveOptions(mode="all", max_solutions=7))) == 7
 
-    def test_parallel_matches_sequential(self):
-        inst, _ = generate_instance(8, 9, 0.0)
-        seq = solve(inst, SolveOptions(mode="all"))
-        par = solve(inst, SolveOptions(mode="all", parallel=True))
-        assert solution_sets_equal(seq, par)
-
     def test_options_validation(self):
         with pytest.raises(ValueError):
             SolveOptions(eps=0.0)
@@ -208,11 +190,35 @@ class TestExpandBySymmetry:
         assert len(expanded) == 2
 
     def test_symmetric_mode_equals_plain_solve(self):
-        for n in (5, 6):
-            inst, _ = generate_instance(n, n + 40, 0.0)
-            plain = solve(inst, SolveOptions(mode="all"))
-            sym = solve(inst, SolveOptions(mode="all", use_symmetry=True))
-            assert solution_sets_equal(plain, sym)
+        cases = [(n, n + 40, 0.0) for n in (5, 6)]
+        cases += [(n, 3 * n + k, f) for k, f in enumerate((0.05, 0.1, 0.2, 0.3))
+                  for n in (7, 9, 11)]
+        # eps-borderline: vertex 2 lies 0.0008 A from the plane through
+        # vertices 10..12, so the mirror of vertex 13 misses d(2, 13) by
+        # less than eps
+        borderline = (13, 20, 0.15)
+        for options in (dict(mode="all"), dict(mode="all", max_solutions=3),
+                        dict(mode="first")):
+            for case in cases + [borderline]:
+                inst, _ = generate_instance(*case)
+                plain = solve(inst, SolveOptions(**options))
+                sym = solve(inst, SolveOptions(use_symmetry=True, **options))
+                assert [p for _, p in sym] == [p for _, p in plain], (case, options)
+                for (r_sym, _), (r_plain, _) in zip(sym, plain):
+                    assert np.max(np.abs(r_sym - r_plain)) <= 1e-8, (case, options)
+                if case == borderline and options == dict(mode="all"):
+                    assert len(sym) == 8
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(5, 12), seed=st.integers(0, 2**16),
+       extra=st.floats(0.0, 0.3), use_symmetry=st.booleans())
+def test_every_solution_satisfies_every_edge(n, seed, extra, use_symmetry):
+    # the search prunes each edge once and never re-verifies its leaves
+    inst, _ = generate_instance(n, seed, extra)
+    eps = 1e-4
+    for r, _ in solve(inst, SolveOptions(eps=eps, use_symmetry=use_symmetry)):
+        assert verify_realization(inst, r, eps)[0] <= eps
 
 
 def test_branch_path_round_trip():
