@@ -16,34 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conformal import compute_next_points, embed_point, extract_point
-from .ga import (E1, E2, E3, NI, bivector_exp, euclidean_vector,
+from .ga import (E1, E2, E3, NI, bivector_exp, compose_motors, euclidean_vector,
                  geometric_product as gp, motor_coeffs, motor_from_coeffs,
                  outer_product as op, reverse, scalar)
 from .geometry import matrix_place_next
 
 MOTOR_COEFF_COUNT = 8
 MATRIX_COEFF_COUNT = 12  # 3x4 affine part; the bottom row is constant
-
-
-def _build_motor_table() -> np.ndarray:
-    """Structure constants of the motor subalgebra on its 8-blade support."""
-    basis = [motor_from_coeffs(np.eye(MOTOR_COEFF_COUNT)[k]) for k in range(MOTOR_COEFF_COUNT)]
-    table = np.zeros((MOTOR_COEFF_COUNT, MOTOR_COEFF_COUNT, MOTOR_COEFF_COUNT))
-    for i in range(MOTOR_COEFF_COUNT):
-        for j in range(MOTOR_COEFF_COUNT):
-            coords, residual = motor_coeffs(gp(basis[i], basis[j]))
-            if residual > 1e-12:
-                raise AssertionError("motor support is not closed under the product")
-            table[i, j] = coords
-    return table
-
-
-_MOTOR_TABLE = _build_motor_table()
-
-
-def compose_motors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of two motors given by their 8 support coefficients."""
-    return np.einsum("i,j,ijk->k", a, b, _MOTOR_TABLE)
 
 
 @dataclass(frozen=True)

@@ -62,7 +62,6 @@ def _cmd_solve(args) -> int:
         eps=args.eps,
         mode="all" if args.all else "first",
         max_solutions=args.max_solutions,
-        use_symmetry=args.symmetric,
     )
     try:
         solutions = solve(inst, opts)
@@ -141,8 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true", help="enumerate all realizations")
     p.add_argument("--eps", type=float, default=eps_default, help="pruning tolerance")
     p.add_argument("--max-solutions", type=int, default=None)
-    p.add_argument("--symmetric", action="store_true",
-                   help="find one solution, reach the rest by suffix reflections")
     p.add_argument("--out", default=None, help="write realizations here")
     p.set_defaults(func=_cmd_solve)
 

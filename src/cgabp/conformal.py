@@ -1,6 +1,7 @@
 """The 3D conformal model on top of the Cl(4,1) kernel: point embedding,
-carrier planes, translators, and the versor construction that yields the
-two candidate positions of the next chain vertex.
+carrier planes, translators, the versor construction that yields the two
+candidate positions of the next chain vertex, and the 8-coefficient step
+motor that the search composes instead.
 
 A conformal point is a grade-1 null multivector normalized so that
 ``scalar_product(-NI, P) = 1``; helpers below keep that invariant.
@@ -20,9 +21,12 @@ from .ga import (
     NI,
     NO,
     bivector_exp,
+    blade,
+    compose_motors,
     dual,
     euclidean_vector,
     geometric_product as gp,
+    motor_coeffs,
     outer_product as op,
     reverse,
     scalar,
@@ -166,3 +170,22 @@ def compute_next_points(a: Multivector, b: Multivector, c: Multivector,
     direct = normalize_point(gp(gp(f, c), reverse(f)))
     mirrored = reflect_in_plane(step.plane, direct)
     return direct, mirrored
+
+
+def step_motor(theta: float, omega: float, d: float) -> np.ndarray:
+    """8 motor coefficients of one chain step, in the local frame of
+    ``geometry.torsion_matrix``: a twist by ``omega`` about the bond e1, a
+    turn by pi - theta about the frame normal e3, and a move of ``d`` along
+    the new e1.
+
+    As a motion it is ``torsion_matrix(a, b, c)^-1 @ torsion_matrix(b, c, x)``
+    for the point ``x`` that ``spherical_offset(theta, omega, d)`` places
+    after (a, b, c), so the frame of vertex i is the product of the anchor
+    frame's motor with the step motors of vertices 4..i, and the vertex
+    itself is that product's image of the origin.
+    """
+    twist = bivector_exp(blade(0b00110) * (-0.5 * omega))          # e2 toward e3
+    turn = bivector_exp(blade(0b00011) * (-0.5 * (math.pi - theta)))  # e1 toward e2
+    move = make_translator((1.0, 0.0, 0.0), d)
+    twist_c, turn_c, move_c = (motor_coeffs(m)[0] for m in (twist, turn, move))
+    return compose_motors(compose_motors(twist_c, turn_c), move_c)

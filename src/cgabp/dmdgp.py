@@ -192,9 +192,9 @@ def generate_instance(n: int, seed: int, extra_edge_fraction: float = 0.0):
     for u in range(1, n + 1):
         for v in range(u + 1, min(u + 3, n) + 1):
             edges.append((u, v, float(np.linalg.norm(pts[u - 1] - pts[v - 1]))))
-    remaining = [(u, v) for u in range(1, n + 1) for v in range(u + 4, n + 1)]
-    k = int(round(extra_edge_fraction * len(remaining)))
+    k = int(round(extra_edge_fraction * ((n - 4) * (n - 3) // 2)))  # pairs with v - u >= 4
     if k:
+        remaining = [(u, v) for u in range(1, n + 1) for v in range(u + 4, n + 1)]
         picked = rng.choice(len(remaining), size=k, replace=False)
         for idx in sorted(picked):
             u, v = remaining[idx]

@@ -9,8 +9,8 @@ NO = (em + ep) / 2 (point at the origin) are ordinary values over the
 basis, which keeps the metric diagonal.
 
 Everything here is a pure function of immutable values; the only module
-state is the sign/index tables built once at import time, so concurrent
-use needs no synchronisation.
+state is the sign/index tables and the motor tables built once at import
+time, so concurrent use needs no synchronisation.
 """
 
 from __future__ import annotations
@@ -339,6 +339,37 @@ def motor_from_coeffs(coords) -> Multivector:
     nb = np.zeros(DIM)
     nb[list(MOTOR_SUPPORT)] = np.asarray(coords, dtype=float)
     return from_null_basis_coeffs(nb)
+
+
+def _build_motor_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Structure constants of the motor subalgebra on its 8-blade support,
+    and the bilinear map taking a motor to the Euclidean part of its image
+    of the origin, both read off dense products of basis motors."""
+    basis = [motor_from_coeffs(np.eye(8)[k]) for k in range(8)]
+    product = np.zeros((8, 8, 8))
+    origin = np.zeros((8, 8, 3))
+    for i in range(8):
+        for j in range(8):
+            coords, residual = motor_coeffs(geometric_product(basis[i], basis[j]))
+            if residual > 1e-12:
+                raise AssertionError("motor support is not closed under the product")
+            product[i, j] = coords
+            sandwich = geometric_product(geometric_product(basis[i], NO), reverse(basis[j]))
+            origin[i, j] = sandwich.coeffs[[1, 2, 4]]
+    return product, origin
+
+
+_MOTOR_TABLE, _ORIGIN_TABLE = _build_motor_tables()
+
+
+def compose_motors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of two motors given by their 8 support coefficients."""
+    return np.einsum("i,j,ijk->k", a, b, _MOTOR_TABLE)
+
+
+def motor_origin(m: np.ndarray) -> np.ndarray:
+    """Euclidean point M no ~M for a unit motor given by its 8 coefficients."""
+    return np.einsum("i,j,ijk->k", m, m, _ORIGIN_TABLE)
 
 
 def format_multivector(a: Multivector, eps: float = 1e-12) -> str:

@@ -1,23 +1,28 @@
 """Branch & Prune search over the binary tree of torsion-sign choices.
 
-One depth-first walk, ``_search``, serves every mode.  Its children are
-either the two conformal versor placements of the next vertex, or, in
-symmetry mode, one solution kept as is or with its suffix reflected
-through the plane of the three predecessors.  Either way, pruning tests
-every known distance into the vertex just fixed, so every edge is checked
-when its higher endpoint is fixed and leaves need no further verification.
+One iterative depth-first loop serves every mode.  The frame of each
+placed vertex is an 8-coefficient motor; a child composes its parent's
+motor with one of the two step motors of its vertex (torsion +omega or
+-omega), built once per solve, and its point is the new motor's image of
+the origin.  Pruning tests every known distance into the vertex just
+fixed, so every edge is checked when its higher endpoint is fixed and
+leaves need no further verification.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import carrier_plane, compute_next_points, embed_point, extract_point, reflect_in_plane
+# compute_next_points is the reference placement; the search does not call
+# it, but perfbench/tracing.py wraps it under this module's name.
+from .conformal import (carrier_plane, compute_next_points,  # noqa: F401
+                        embed_point, extract_point, reflect_in_plane, step_motor)
 from .dmdgp import Instance, InternalCoords, internal_coordinates, validate_instance
 from .errors import InfeasibleInstanceError, InvalidInstanceError
+from .ga import compose_motors, motor_origin
 from .geometry import verify_realization
 
 
@@ -45,9 +50,9 @@ class BranchPath:
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Search settings.  ``use_symmetry`` derives the solutions from the
-    first one found by suffix reflections instead of new placements; the
-    result is the same as without it."""
+    """Search settings.  ``use_symmetry`` has no effect: the search is the
+    same with or without it.  It is kept so that callers which still pass
+    it keep working."""
 
     eps: float = 1e-4                 # pruning tolerance, angstroms
     mode: str = "all"                 # "all" | "first"
@@ -86,74 +91,6 @@ def prune_check(partial: np.ndarray, inst: Instance, eps: float) -> bool:
     return True
 
 
-def _torsion_magnitude(coords: InternalCoords, vertex: int) -> float:
-    c = float(coords.dihedral_cos[vertex - 4])
-    return math.acos(min(1.0, max(-1.0, c)))
-
-
-def _candidates(points: np.ndarray, coords: InternalCoords, vertex: int):
-    """Both torsion-sign placements for ``vertex`` given placed prefix."""
-    a, b, c = (embed_point(points[vertex - 4 + k]) for k in range(3))
-    theta = float(coords.bond_angles[vertex - 3])
-    omega = _torsion_magnitude(coords, vertex)
-    d = float(coords.bond_lengths[vertex - 2])
-    plus, minus = compute_next_points(a, b, c, theta, omega, d)
-    return extract_point(plus), extract_point(minus)
-
-
-def _search(inst: Instance, children, points: np.ndarray, signs: list[int],
-            opts: SolveOptions, out: list) -> bool:
-    """Depth-first walk of the sign tree below ``points``.
-
-    ``children(points, signs, vertex)`` yields ``(sign, child)`` pairs, +
-    before -, where ``child`` fixes vertex ``vertex`` (and may hold points
-    beyond it).  A child survives when ``prune_check`` accepts its prefix
-    up to ``vertex``; since every edge is tested when its higher endpoint
-    is fixed, each leaf satisfies every distance within ``eps``.  Returns
-    True when the caller should stop (solution cap reached).
-    """
-    vertex = len(signs) + 4
-    if vertex > inst.n:
-        out.append((points.copy(), BranchPath(tuple(signs))))
-        return opts.mode == "first" or (
-            opts.max_solutions is not None and len(out) >= opts.max_solutions)
-    for sign, child in children(points, signs, vertex):
-        if not prune_check(child[:vertex], inst, opts.eps):
-            continue
-        signs.append(sign)
-        stop = _search(inst, children, child, signs, opts, out)
-        signs.pop()
-        if stop:
-            return True
-    return False
-
-
-def _placements(coords: InternalCoords):
-    """Children that append one of the two versor placements of ``vertex``."""
-    def children(points, signs, vertex):
-        for sign, candidate in zip((1, -1), _candidates(points, coords, vertex)):
-            yield sign, np.vstack([points, candidate])
-    return children
-
-
-def _reflections(base_signs: tuple[int, ...]):
-    """Children that keep a full realization as is, or reflect its suffix
-    from ``vertex`` on, whichever gives ``vertex`` the child's sign.
-
-    ``points`` comes from the solution with ``base_signs`` by reflections at
-    earlier vertices.  Each flipped every later sign, so ``vertex`` differs
-    from its base sign exactly when its predecessor does.
-    """
-    def children(points, signs, vertex):
-        k = vertex - 4
-        current = base_signs[k]
-        if signs and signs[-1] != base_signs[k - 1]:
-            current = -current
-        for sign in (1, -1):
-            yield sign, points if sign == current else reflect_suffix(points, vertex)
-    return children
-
-
 def solve(inst: Instance, opts: SolveOptions = SolveOptions()):
     """All (or the first) realizations of a discretizable instance.
 
@@ -162,11 +99,9 @@ def solve(inst: Instance, opts: SolveOptions = SolveOptions()):
     with no realization yields an empty list; a non-discretizable one
     raises InvalidInstanceError.
 
-    With ``use_symmetry`` the placement search stops at its first
-    solution, and the same walk then runs again with suffix reflections
-    of that solution as children instead of new placements.  It gives the
-    branch paths of plain search, in the same order, with coordinates that
-    agree to rounding error.
+    When the two placements of a vertex lie within ``eps`` of each other
+    (2 d sin(theta) |sin(omega)| <= eps, a planar torsion), only the +
+    child is walked, so such a vertex does not double the solutions.
     """
     report = validate_instance(inst)
     if not report.is_dmdgp:
@@ -175,15 +110,45 @@ def solve(inst: Instance, opts: SolveOptions = SolveOptions()):
         coords = internal_coordinates(inst)
     except InfeasibleInstanceError:
         return []
-    anchor = initialize_first_three(coords)
-    if not prune_check(anchor[:2], inst, opts.eps) or not prune_check(anchor, inst, opts.eps):
+    n = inst.n
+    points = np.zeros((n, 3))
+    points[:3] = initialize_first_three(coords)
+    if not prune_check(points[:2], inst, opts.eps) or not prune_check(points[:3], inst, opts.eps):
         return []
+    steps = []    # steps[k]: the motors placing vertex k + 4 at torsion +omega, then -omega
+    for k in range(n - 3):
+        theta, d = float(coords.bond_angles[k + 1]), float(coords.bond_lengths[k + 2])
+        omega = math.acos(min(1.0, max(-1.0, float(coords.dihedral_cos[k]))))
+        coincident = 2.0 * d * math.sin(theta) * math.sin(omega) <= opts.eps
+        signs = (1,) if coincident else (1, -1)
+        steps.append([step_motor(theta, sign * omega, d) for sign in signs])
+    # motors[v] is the torsion_matrix frame at vertex v.  From the identity
+    # frame at x1, a step back along -e1 (bond angle 0) reaches x2 and a step
+    # with torsion pi reaches x3, the anchor frame.
+    motors = np.zeros((n + 1, 8))
+    motors[3] = compose_motors(step_motor(0.0, 0.0, float(coords.bond_lengths[0])),
+                               step_motor(float(coords.bond_angles[0]), math.pi,
+                                          float(coords.bond_lengths[1])))
     out: list = []
-    placement_opts = replace(opts, mode="first") if opts.use_symmetry else opts
-    _search(inst, _placements(coords), anchor, [], placement_opts, out)
-    if opts.use_symmetry and out:
-        (base, path), out = out[0], []
-        _search(inst, _reflections(path.signs), base, [], opts, out)
+    tried = [0] * (n - 3)     # children of vertex k + 4 walked so far on the current path
+    v = 4
+    while v > 3:
+        if v > n:
+            out.append((points.copy(), BranchPath(tuple(1 if t == 1 else -1 for t in tried))))
+            if opts.mode == "first" or len(out) == opts.max_solutions:
+                break
+            v -= 1
+            continue
+        k = v - 4
+        if tried[k] == len(steps[k]):
+            tried[k] = 0
+            v -= 1
+            continue
+        motors[v] = compose_motors(motors[v - 1], steps[k][tried[k]])
+        tried[k] += 1
+        points[v - 1] = motor_origin(motors[v])
+        if prune_check(points[:v], inst, opts.eps):
+            v += 1
     return out
 
 

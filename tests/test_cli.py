@@ -89,23 +89,12 @@ def test_no_solutions_exit_code(tmp_path):
     assert run(["solve", str(path), "--all"]) == 1
 
 
-def test_symmetric_mode_matches_plain(tmp_path, capsys):
-    inst_file = tmp_path / "i.txt"
-    run(["generate", "--n", "7", "--seed", "2", "--out", str(inst_file)])
-    assert run(["solve", str(inst_file), "--all"]) == 0
-    plain = capsys.readouterr().out
-    assert run(["solve", str(inst_file), "--all", "--symmetric"]) == 0
-    sym = capsys.readouterr().out
-    assert "solutions: 16" in plain
-    assert "solutions: 16" in sym
-
-
 def test_symmetric_all_on_long_pruned_chain(tmp_path, capsys):
-    # n - 3 = 27 sign choices: the reflection walk prunes like plain search
+    # n - 3 = 27 sign choices, pruned down to the mirror pair
     inst_file = tmp_path / "i.txt"
     run(["generate", "--n", "30", "--seed", "30", "--extra-edges", "0.3",
          "--out", str(inst_file)])
-    assert run(["solve", str(inst_file), "--all", "--symmetric"]) == 0
+    assert run(["solve", str(inst_file), "--all"]) == 0
     assert "solutions: 2" in capsys.readouterr().out
 
 

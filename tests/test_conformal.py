@@ -13,10 +13,11 @@ from cgabp import ga
 from cgabp.conformal import (build_placement_step, carrier_plane,
                              compute_next_points, embed_point, extract_point,
                              make_translator, normalize_point, point_distance,
-                             reflect_in_plane)
+                             reflect_in_plane, step_motor)
 from cgabp.errors import DegenerateGeometryError
 from cgabp.ga import NI, NO, geometric_product as gp, reverse, scalar_product as sp, versor_apply
-from cgabp.geometry import bond_angle, dihedral_angle, matrix_place_next, trilaterate
+from cgabp.geometry import (bond_angle, dihedral_angle, matrix_place_next, torsion_matrix,
+                            trilaterate)
 
 from conftest import (angle_gap, householder_reflect, radii_from_internal,
                       random_placement_case)
@@ -231,3 +232,26 @@ class TestComputeNextPoints:
         with pytest.raises(DegenerateGeometryError):
             compute_next_points(embed_point([0, 0, 0]), embed_point([1, 0, 0]),
                                 embed_point([2, 0, 0]), theta, omega, d)
+
+
+class TestStepMotor:
+    @staticmethod
+    def as_matrix(coords):
+        """4x4 homogeneous matrix of a motor, by dense sandwiches of the
+        origin and the unit points."""
+        motor = ga.motor_from_coeffs(coords)
+        image = [extract_point(versor_apply(motor, embed_point(p)))
+                 for p in np.eye(4)[:, :3]]
+        mat = np.eye(4)
+        mat[:3, 3] = image[3]
+        for k in range(3):
+            mat[:3, k] = image[k] - image[3]
+        return mat
+
+    def test_carries_torsion_frame(self, rng):
+        # torsion_matrix(b, c, x) == torsion_matrix(a, b, c) @ B(theta, omega, d)
+        for _ in range(50):
+            a, b, c, theta, omega, d = random_placement_case(rng)
+            x = matrix_place_next(a, b, c, theta, omega, d)[0]
+            via_motor = torsion_matrix(a, b, c) @ self.as_matrix(step_motor(theta, omega, d))
+            assert np.max(np.abs(via_motor - torsion_matrix(b, c, x))) <= 1e-10

@@ -112,6 +112,17 @@ class TestGenerate:
         inst, _ = generate_instance(8, 0, 1.0)
         assert len(inst.edges) == 8 * 7 // 2
 
+    def test_extra_edges_are_pinned(self):
+        # the seed's draws pick these pairs; a change to the generator must
+        # keep them, so saved instances stay reproducible
+        pinned = {(8, 3, 0.3): [(1, 7), (1, 8), (2, 8)],
+                  (10, 1, 0.2): [(1, 9), (2, 7), (3, 7), (3, 8)],
+                  (12, 5, 0.1): [(1, 9), (1, 11), (4, 10), (7, 11)],
+                  (12, 5, 0.0): []}
+        for case, pairs in pinned.items():
+            inst, _ = generate_instance(*case)
+            assert [(u, v) for u, v, _ in inst.edges if v - u > 3] == pairs
+
     def test_truth_satisfies_instance(self):
         inst, truth = generate_instance(15, 8, 0.3)
         max_viol, _ = verify_realization(inst, truth)

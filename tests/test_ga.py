@@ -220,6 +220,17 @@ def test_motor_coeff_round_trip(rng):
     assert residual <= 1e-14
 
 
+def test_motor_origin_matches_dense_sandwich(rng):
+    for _ in range(20):
+        rotor = bivector_exp(op(E1, E2) * rng.uniform(-2, 2) + op(E1, E3) * rng.uniform(-2, 2)
+                             + op(E2, E3) * rng.uniform(-2, 2))
+        translator = scalar(1.0) - gp(ga.euclidean_vector(rng.uniform(-3, 3, 3)), NI) * 0.5
+        motor = gp(translator, rotor)
+        dense = gp(gp(motor, NO), reverse(motor))
+        got = ga.motor_origin(ga.motor_coeffs(motor)[0])
+        assert np.max(np.abs(got - dense.coeffs[[1, 2, 4]])) <= 1e-12
+
+
 def test_format_multivector():
     m = op(E1, E2) * 1.5 - gp(E1, NI) * 0.5
     text = ga.format_multivector(m)

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cgabp.dmdgp import Instance, generate_instance, internal_coordinates
+from cgabp.dmdgp import (Instance, format_points, generate_instance, ingest_coordinates,
+                         internal_coordinates)
 from cgabp.errors import DegenerateGeometryError, InvalidInstanceError
-from cgabp.geometry import bond_angle, verify_realization
+from cgabp.geometry import bond_angle, matrix_place_next, verify_realization
 from cgabp.solver import (BranchPath, SolveOptions, expand_by_symmetry,
                           initialize_first_three, prune_check, reflect_suffix,
                           solve)
@@ -19,6 +20,17 @@ from cgabp.solver import (BranchPath, SolveOptions, expand_by_symmetry,
 
 def all_paths(length):
     return [BranchPath(s) for s in itertools.product((1, -1), repeat=length)]
+
+
+def matrix_replay(inst, path):
+    """Realization of ``path`` by the torsion-matrix chain from the anchor."""
+    coords = internal_coordinates(inst)
+    pts = list(initialize_first_three(coords))
+    for k, sign in enumerate(path.signs):
+        omega = math.acos(min(1.0, max(-1.0, float(coords.dihedral_cos[k]))))
+        pts.append(matrix_place_next(pts[-3], pts[-2], pts[-1], float(coords.bond_angles[k + 1]),
+                                     sign * omega, float(coords.bond_lengths[k + 2]))[0])
+    return np.array(pts)
 
 
 class TestAnchor:
@@ -113,6 +125,42 @@ class TestSolve:
         assert len(solve(inst, SolveOptions(mode="first"))) == 1
         assert len(solve(inst, SolveOptions(mode="all", max_solutions=7))) == 7
 
+    def test_paths_replay_through_matrix_oracle(self):
+        cases = [(n, n + 40, 0.0) for n in (5, 6)]
+        cases += [(n, 3 * n + k, f) for k, f in enumerate((0.05, 0.1, 0.2, 0.3))
+                  for n in (7, 9, 11)]
+        # eps-borderline: vertex 2 lies 0.0008 A from the plane through
+        # vertices 10..12, so the mirror of vertex 13 misses d(2, 13) by
+        # less than eps
+        borderline = (13, 20, 0.15)
+        for options in (dict(mode="all"), dict(mode="all", max_solutions=3),
+                        dict(mode="first")):
+            for case in cases + [borderline]:
+                inst, _ = generate_instance(*case)
+                sols = solve(inst, SolveOptions(**options))
+                for r, path in sols:
+                    assert np.max(np.abs(r - matrix_replay(inst, path))) <= 1e-8, (case, options)
+                if case == borderline and options == dict(mode="all"):
+                    assert len(sols) == 8
+
+    def test_long_chain_first_solution_matches_oracle(self):
+        inst, _ = generate_instance(2000, 1, 0.0)
+        sols = solve(inst, SolveOptions(mode="first"))
+        assert len(sols) == 1
+        r, path = sols[0]
+        assert np.max(np.abs(r - matrix_replay(inst, path))) <= 1e-8
+
+    def test_coincident_children_are_not_branched(self):
+        # planar torsions (0 and pi) at vertices 4 and 6: their two
+        # placements coincide, so only vertex 5 branches
+        pts = [np.zeros(3), np.array([-1.526, 0.0, 0.0])]
+        pts.append(pts[1] + 1.526 * np.array([math.cos(1.91), math.sin(1.91), 0.0]))
+        for omega in (0.0, 1.0, math.pi):
+            pts.append(matrix_place_next(pts[-3], pts[-2], pts[-1], 1.91, omega, 1.526)[0])
+        inst = ingest_coordinates(format_points(np.array(pts)), cutoff=0)
+        sols = solve(inst, SolveOptions(mode="all"))
+        assert [str(p) for _, p in sols] == ["+++", "+-+"]
+
     def test_options_validation(self):
         with pytest.raises(ValueError):
             SolveOptions(eps=0.0)
@@ -189,35 +237,14 @@ class TestExpandBySymmetry:
         expanded = expand_by_symmetry(base, all_paths(4), inst)
         assert len(expanded) == 2
 
-    def test_symmetric_mode_equals_plain_solve(self):
-        cases = [(n, n + 40, 0.0) for n in (5, 6)]
-        cases += [(n, 3 * n + k, f) for k, f in enumerate((0.05, 0.1, 0.2, 0.3))
-                  for n in (7, 9, 11)]
-        # eps-borderline: vertex 2 lies 0.0008 A from the plane through
-        # vertices 10..12, so the mirror of vertex 13 misses d(2, 13) by
-        # less than eps
-        borderline = (13, 20, 0.15)
-        for options in (dict(mode="all"), dict(mode="all", max_solutions=3),
-                        dict(mode="first")):
-            for case in cases + [borderline]:
-                inst, _ = generate_instance(*case)
-                plain = solve(inst, SolveOptions(**options))
-                sym = solve(inst, SolveOptions(use_symmetry=True, **options))
-                assert [p for _, p in sym] == [p for _, p in plain], (case, options)
-                for (r_sym, _), (r_plain, _) in zip(sym, plain):
-                    assert np.max(np.abs(r_sym - r_plain)) <= 1e-8, (case, options)
-                if case == borderline and options == dict(mode="all"):
-                    assert len(sym) == 8
-
 
 @settings(max_examples=40, deadline=None)
-@given(n=st.integers(5, 12), seed=st.integers(0, 2**16),
-       extra=st.floats(0.0, 0.3), use_symmetry=st.booleans())
-def test_every_solution_satisfies_every_edge(n, seed, extra, use_symmetry):
+@given(n=st.integers(5, 12), seed=st.integers(0, 2**16), extra=st.floats(0.0, 0.3))
+def test_every_solution_satisfies_every_edge(n, seed, extra):
     # the search prunes each edge once and never re-verifies its leaves
     inst, _ = generate_instance(n, seed, extra)
     eps = 1e-4
-    for r, _ in solve(inst, SolveOptions(eps=eps, use_symmetry=use_symmetry)):
+    for r, _ in solve(inst, SolveOptions(eps=eps)):
         assert verify_realization(inst, r, eps)[0] <= eps
 
 
