@@ -2,8 +2,11 @@
 """Solve a family of random instances and report solution counts, timing,
 and the largest coordinate gap between each returned realization and the
 same branch path replayed through the torsion-matrix chain
-(``geometry.matrix_place_next`` from the solver's anchor).  Exits 1 if any
-instance's gap exceeds the tolerance."""
+(``geometry.matrix_place_next`` from the solver's anchor).  It also
+checks mirror closure: vertex 4 is always a symmetry vertex, so the image
+of every realization under z -> -z (the anchor plane) must lie within eps
+of a returned realization.  Exits 1 if any instance's gap exceeds the
+tolerance or any mirror image is missing."""
 
 import argparse
 import math
@@ -16,6 +19,7 @@ from cgabp.geometry import matrix_place_next, verify_realization
 from cgabp.solver import SolveOptions, initialize_first_three, solve
 
 GAP_TOL = 1e-8  # largest coordinate gap to the matrix replay counted as agreement
+EPS = 1e-4      # the solve's pruning tolerance
 
 
 def matrix_replay(coords, path):
@@ -36,12 +40,12 @@ def main():
     args = ap.parse_args()
 
     print(f"{'n':>5} {'edges':>6} {'solutions':>10} {'worst viol':>12} "
-          f"{'truth err':>11} {'time [s]':>9} {'oracle gap':>11}")
-    mismatches = 0
+          f"{'truth err':>11} {'time [s]':>9} {'oracle gap':>11} {'mirror':>7}")
+    mismatches = unmirrored = 0
     for n in args.sizes:
         inst, truth = generate_instance(n, args.seed + n, args.extra_edges)
         t0 = time.perf_counter()
-        sols = solve(inst, SolveOptions(mode="all"))
+        sols = solve(inst, SolveOptions(eps=EPS, mode="all"))
         dt = time.perf_counter() - t0
         mirror = truth * np.array([1.0, 1.0, -1.0])
         worst = max((verify_realization(inst, r)[0] for r, _ in sols), default=float("nan"))
@@ -50,12 +54,16 @@ def main():
         coords = internal_coordinates(inst)
         gap = max((float(np.max(np.abs(r - matrix_replay(coords, p)))) for r, p in sols),
                   default=0.0)
+        closed = all(min(np.max(np.abs(r * np.array([1.0, 1.0, -1.0]) - q)) for q, _ in sols)
+                     <= EPS for r, _ in sols)
         mismatches += gap > GAP_TOL
+        unmirrored += not closed
         print(f"{n:>5} {len(inst.edges):>6} {len(sols):>10} {worst:>12.3e} "
-              f"{best:>11.3e} {dt:>9.3f} {gap:>11.1e}")
+              f"{best:>11.3e} {dt:>9.3f} {gap:>11.1e} {'ok' if closed else 'MISS':>7}")
     print(f"\nmatrix oracle: {mismatches} of {len(args.sizes)} instances differ "
           f"by more than {GAP_TOL:g}")
-    return 1 if mismatches else 0
+    print(f"mirror closure: {unmirrored} of {len(args.sizes)} instances miss a mirror image")
+    return 1 if mismatches or unmirrored else 0
 
 
 if __name__ == "__main__":

@@ -21,12 +21,10 @@ from .ga import (
     NI,
     NO,
     bivector_exp,
-    blade,
     compose_motors,
     dual,
     euclidean_vector,
     geometric_product as gp,
-    motor_coeffs,
     outer_product as op,
     reverse,
     scalar,
@@ -79,13 +77,14 @@ def point_distance(p: Multivector, q: Multivector) -> float:
 def carrier_plane(a: Multivector, b: Multivector, c: Multivector) -> Multivector:
     """Unit-weight plane blade a ^ b ^ c ^ NI through three finite points.
 
-    Usable directly as a reflection versor.  Collinear points give a
-    vanishing blade and are rejected.
+    Usable directly as a reflection versor.  The blade's weight is
+    |(b - a) x (c - a)|; collinear or coincident points, whose weight is at
+    most 1e-10 |b - a| |c - a| wherever they lie, are rejected.
     """
     blade = op(op(op(a, b), c), NI)
-    scale = max(1.0, a.max_abs()) * max(1.0, b.max_abs()) * max(1.0, c.max_abs())
     weight = math.sqrt(abs(sp(blade, reverse(blade))))
-    if weight < 1e-10 * scale:
+    xa, xb, xc = (extract_point(p) for p in (a, b, c))
+    if weight <= 1e-10 * np.linalg.norm(xb - xa) * np.linalg.norm(xc - xa):
         raise DegenerateGeometryError("carrier points are collinear")
     return blade / weight
 
@@ -172,11 +171,12 @@ def compute_next_points(a: Multivector, b: Multivector, c: Multivector,
     return direct, mirrored
 
 
-def step_motor(theta: float, omega: float, d: float) -> np.ndarray:
+def step_motor(theta, omega, d) -> np.ndarray:
     """8 motor coefficients of one chain step, in the local frame of
     ``geometry.torsion_matrix``: a twist by ``omega`` about the bond e1, a
     turn by pi - theta about the frame normal e3, and a move of ``d`` along
-    the new e1.
+    the new e1.  Each factor has a closed form, so no dense product runs;
+    array arguments broadcast and give one motor per element.
 
     As a motion it is ``torsion_matrix(a, b, c)^-1 @ torsion_matrix(b, c, x)``
     for the point ``x`` that ``spherical_offset(theta, omega, d)`` places
@@ -184,8 +184,9 @@ def step_motor(theta: float, omega: float, d: float) -> np.ndarray:
     frame's motor with the step motors of vertices 4..i, and the vertex
     itself is that product's image of the origin.
     """
-    twist = bivector_exp(blade(0b00110) * (-0.5 * omega))          # e2 toward e3
-    turn = bivector_exp(blade(0b00011) * (-0.5 * (math.pi - theta)))  # e1 toward e2
-    move = make_translator((1.0, 0.0, 0.0), d)
-    twist_c, turn_c, move_c = (motor_coeffs(m)[0] for m in (twist, turn, move))
-    return compose_motors(compose_motors(twist_c, turn_c), move_c)
+    theta, omega, d = np.broadcast_arrays(theta, omega, d)
+    twist, turn, move = np.zeros((3,) + theta.shape + (8,))
+    twist[..., 0], twist[..., 3] = np.cos(0.5 * omega), -np.sin(0.5 * omega)  # e2 toward e3
+    turn[..., 0], turn[..., 1] = np.sin(0.5 * theta), -np.cos(0.5 * theta)    # e1 toward e2
+    move[..., 0], move[..., 4] = 1.0, -0.5 * d                                 # 1 - (d/2) e1 inf
+    return compose_motors(compose_motors(twist, turn), move)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FileFormatError, InfeasibleInstanceError
-from .geometry import dihedral_angle, matrix_place_next, trilaterate
+from .geometry import matrix_place_next
 
 GENERATOR_BOND_LENGTH = 1.526   # angstroms, conventional backbone value
 GENERATOR_BOND_ANGLE = 1.91     # radians
@@ -118,51 +118,39 @@ def validate_instance(inst: Instance) -> ValidationReport:
     return ValidationReport(not missing and not violations, tuple(missing), tuple(violations))
 
 
-def _triangle_apex_angle(d_left: float, d_right: float, d_opposite: float) -> float:
-    c = (d_left * d_left + d_right * d_right - d_opposite * d_opposite) / (2.0 * d_left * d_right)
-    return math.acos(min(1.0, max(-1.0, c)))
-
-
-def _embed_triangle(d12: float, d13: float, d23: float):
-    """Canonical planar embedding of a triangle from its side lengths."""
-    p1 = np.zeros(3)
-    p2 = np.array([d12, 0.0, 0.0])
-    x = (d12 * d12 + d13 * d13 - d23 * d23) / (2.0 * d12)
-    y2 = d13 * d13 - x * x
-    p3 = np.array([x, math.sqrt(max(y2, 0.0)), 0.0])
-    return p1, p2, p3
-
-
 def internal_coordinates(inst: Instance) -> InternalCoords:
-    """Bond lengths, bond angles and unsigned torsions from distances.
+    """Bond lengths, bond angles and unsigned torsions, in closed form from
+    the arrays of d(i-1, i), d(i-2, i) and d(i-3, i).
 
-    Angles come from the law of cosines; each torsion cosine comes from
-    embedding the consecutive 4-clique via trilateration and measuring
-    the resulting tetrahedron.  A 4-clique whose trilateration
-    discriminant is below -1e-9 has no embedding and raises
-    InfeasibleInstanceError.
+    Those distances give the Gram entries of the bond vectors b_k: bond
+    angles follow by the law of cosines, and for each consecutive 4-clique
+    with normals n1 = b1 x b2 and n2 = b2 x b3 the torsion cosine is
+    n1.n2 / (|n1| |n2|) and the squared out-of-plane height of its last
+    vertex is det(Gram) / |n1|^2.  A triangle with |cos(theta)| >= 1, or a
+    4-clique with squared height below -1e-9 (angstroms squared), has no
+    embedding and raises InfeasibleInstanceError.
     """
-    n = inst.n
-    lengths = np.array([inst.distance(i - 1, i) for i in range(2, n + 1)])
-    angles = np.array([
-        _triangle_apex_angle(inst.distance(i - 2, i - 1), inst.distance(i - 1, i),
-                             inst.distance(i - 2, i))
-        for i in range(3, n + 1)
-    ]) if n >= 3 else np.zeros(0)
-    cosines = np.zeros(max(n - 3, 0))
-    for i in range(4, n + 1):
-        q = (i - 3, i - 2, i - 1, i)
-        p1, p2, p3 = _embed_triangle(inst.distance(*q[:2]), inst.distance(q[0], q[2]),
-                                     inst.distance(q[1], q[2]))
-        res = trilaterate(p1, p2, p3,
-                          inst.distance(q[0], q[3]), inst.distance(q[1], q[3]),
-                          inst.distance(q[2], q[3]))
-        if res.kind == "empty":
-            raise InfeasibleInstanceError(f"4-clique {q} admits no embedding")
-        x = res.points[0]
-        c = math.cos(dihedral_angle(p1, p2, p3, x))
-        cosines[i - 4] = min(1.0, max(-1.0, c))
-    return InternalCoords(n, lengths, angles, cosines)
+    n, dist = inst.n, inst.distance
+    d1 = np.array([dist(i - 1, i) for i in range(2, n + 1)])
+    sq1 = d1 * d1
+    sq2, sq3 = (np.array([dist(i - k, i) for i in range(k + 1, n + 1)]) ** 2 for k in (2, 3))
+    dots = 0.5 * (sq2 - sq1[:-1] - sq1[1:])          # b_k . b_(k+1)
+    cos_theta = -dots / (d1[:-1] * d1[1:])
+    bad = np.flatnonzero(np.abs(cos_theta) >= 1.0) + 1
+    if bad.size:
+        triangle = tuple(range(bad[0], bad[0] + 3))
+        raise InfeasibleInstanceError(f"triangle {triangle} admits no embedding")
+    cross2 = sq1[:-1] * sq1[1:] * (1.0 - cos_theta) * (1.0 + cos_theta)  # |b_k x b_(k+1)|^2
+    g11, g22, g33, g12, g23 = sq1[:-2], sq1[1:-1], sq1[2:], dots[:-1], dots[1:]
+    g13 = 0.5 * (sq3 - g11 - g22 - g33) - g12 - g23
+    n1n2, n1sq, n2sq = g12 * g23 - g13 * g22, cross2[:-1], cross2[1:]
+    height2 = (n1sq * n2sq - n1n2 * n1n2) / (g22 * n1sq)
+    bad = np.flatnonzero(height2 < -1e-9) + 1
+    if bad.size:
+        clique = tuple(range(bad[0], bad[0] + 4))
+        raise InfeasibleInstanceError(f"4-clique {clique} admits no embedding")
+    cosines = np.clip(n1n2 / np.sqrt(n1sq * n2sq), -1.0, 1.0)
+    return InternalCoords(n, d1, np.arccos(cos_theta), cosines)
 
 
 def generate_instance(n: int, seed: int, extra_edge_fraction: float = 0.0):
@@ -281,9 +269,8 @@ def parse_points(text: str) -> np.ndarray:
 
 def format_points(points) -> str:
     points = np.asarray(points, dtype=float)
-    return "\n".join(
-        f"{i + 1} {p[0]:.17g} {p[1]:.17g} {p[2]:.17g}" for i, p in enumerate(points)
-    ) + "\n"
+    rows = np.column_stack((np.arange(1, len(points) + 1), points))
+    return ("%d %.17g %.17g %.17g\n" * len(points)) % tuple(rows.ravel().tolist())
 
 
 def ingest_coordinates(text: str, cutoff: float = 5.0) -> Instance:

@@ -363,8 +363,9 @@ _MOTOR_TABLE, _ORIGIN_TABLE = _build_motor_tables()
 
 
 def compose_motors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of two motors given by their 8 support coefficients."""
-    return np.einsum("i,j,ijk->k", a, b, _MOTOR_TABLE)
+    """Product of two motors given by their 8 support coefficients,
+    broadcast over any leading axes."""
+    return np.einsum("...i,...j,ijk->...k", a, b, _MOTOR_TABLE)
 
 
 def motor_origin(m: np.ndarray) -> np.ndarray:

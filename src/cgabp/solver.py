@@ -96,12 +96,15 @@ def solve(inst: Instance, opts: SolveOptions = SolveOptions()):
 
     Returns a list of (realization, branch path) pairs in deterministic
     depth-first order (the + branch is explored before -).  An instance
-    with no realization yields an empty list; a non-discretizable one
-    raises InvalidInstanceError.
+    with no realization (an infeasible triangle or 4-clique included)
+    yields an empty list; a non-discretizable one raises
+    InvalidInstanceError.  All step motors are built at once, in closed form.
 
-    When the two placements of a vertex lie within ``eps`` of each other
-    (2 d sin(theta) |sin(omega)| <= eps, a planar torsion), only the +
-    child is walked, so such a vertex does not double the solutions.
+    A vertex whose two placements lie within ``eps`` of each other
+    (2 d sin(theta) |sin(omega)| <= eps) is near-coincident.  Both its
+    children are walked, but a leaf taking the - child at such a vertex is
+    returned only if no returned realization lies within ``eps`` of it
+    (largest coordinate difference), so it does not double the solutions.
     """
     report = validate_instance(inst)
     if not report.is_dmdgp:
@@ -115,36 +118,35 @@ def solve(inst: Instance, opts: SolveOptions = SolveOptions()):
     points[:3] = initialize_first_three(coords)
     if not prune_check(points[:2], inst, opts.eps) or not prune_check(points[:3], inst, opts.eps):
         return []
-    steps = []    # steps[k]: the motors placing vertex k + 4 at torsion +omega, then -omega
-    for k in range(n - 3):
-        theta, d = float(coords.bond_angles[k + 1]), float(coords.bond_lengths[k + 2])
-        omega = math.acos(min(1.0, max(-1.0, float(coords.dihedral_cos[k]))))
-        coincident = 2.0 * d * math.sin(theta) * math.sin(omega) <= opts.eps
-        signs = (1,) if coincident else (1, -1)
-        steps.append([step_motor(theta, sign * omega, d) for sign in signs])
+    theta, d = coords.bond_angles[1:], coords.bond_lengths[2:]
+    omega = np.arccos(coords.dihedral_cos)
+    # steps[k, 0] and steps[k, 1] place vertex k + 4 at torsion +omega and -omega
+    steps = np.stack((step_motor(theta, omega, d), step_motor(theta, -omega, d)), axis=1)
+    near = np.flatnonzero(2.0 * d * np.sin(theta) * np.sin(omega) <= opts.eps).tolist()
     # motors[v] is the torsion_matrix frame at vertex v.  From the identity
     # frame at x1, a step back along -e1 (bond angle 0) reaches x2 and a step
     # with torsion pi reaches x3, the anchor frame.
     motors = np.zeros((n + 1, 8))
-    motors[3] = compose_motors(step_motor(0.0, 0.0, float(coords.bond_lengths[0])),
-                               step_motor(float(coords.bond_angles[0]), math.pi,
-                                          float(coords.bond_lengths[1])))
+    motors[3] = compose_motors(step_motor(0.0, 0.0, coords.bond_lengths[0]),
+                               step_motor(coords.bond_angles[0], math.pi, coords.bond_lengths[1]))
     out: list = []
     tried = [0] * (n - 3)     # children of vertex k + 4 walked so far on the current path
     v = 4
     while v > 3:
         if v > n:
-            out.append((points.copy(), BranchPath(tuple(1 if t == 1 else -1 for t in tried))))
-            if opts.mode == "first" or len(out) == opts.max_solutions:
-                break
+            merged = any(tried[k] == 2 for k in near)
+            if not (merged and any(np.max(np.abs(points - r)) <= opts.eps for r, _ in out)):
+                out.append((points.copy(), BranchPath(tuple(1 if t == 1 else -1 for t in tried))))
+                if opts.mode == "first" or len(out) == opts.max_solutions:
+                    break
             v -= 1
             continue
         k = v - 4
-        if tried[k] == len(steps[k]):
+        if tried[k] == 2:
             tried[k] = 0
             v -= 1
             continue
-        motors[v] = compose_motors(motors[v - 1], steps[k][tried[k]])
+        motors[v] = compose_motors(motors[v - 1], steps[k, tried[k]])
         tried[k] += 1
         points[v - 1] = motor_origin(motors[v])
         if prune_check(points[:v], inst, opts.eps):

@@ -3,7 +3,7 @@
 import re
 
 from cgabp.cli import run
-from cgabp.dmdgp import format_instance, generate_instance, parse_points
+from cgabp.dmdgp import Instance, format_instance, generate_instance, parse_points
 
 
 def test_generate_solve_verify_round_trip(tmp_path, capsys):
@@ -87,6 +87,17 @@ def test_no_solutions_exit_code(tmp_path):
     path = tmp_path / "inf.txt"
     path.write_text(format_instance(Instance(5, tuple(sorted(edges)))))
     assert run(["solve", str(path), "--all"]) == 1
+
+
+def test_infeasible_triangle_reports_no_solutions(tmp_path, capsys):
+    # d(1, 3) < d(2, 3) - d(1, 2): passes validation, but the first
+    # triangle has no embedding
+    inst = Instance(4, ((1, 2, 1.0), (2, 3, 3.0), (1, 3, 1.5), (3, 4, 1.0),
+                        (2, 4, 2.5), (1, 4, 2.0)))
+    path = tmp_path / "tri.txt"
+    path.write_text(format_instance(inst))
+    assert run(["solve", str(path)]) == 1
+    assert "solutions: 0" in capsys.readouterr().out
 
 
 def test_symmetric_all_on_long_pruned_chain(tmp_path, capsys):

@@ -5,13 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgabp.dmdgp import (GENERATOR_BOND_ANGLE, GENERATOR_BOND_LENGTH, Instance,
                          format_instance, format_points, generate_instance,
                          ingest_coordinates, internal_coordinates,
                          parse_instance, parse_points, validate_instance)
 from cgabp.errors import FileFormatError, InfeasibleInstanceError
-from cgabp.geometry import dihedral_angle, matrix_place_next, verify_realization
+from cgabp.geometry import bond_angle, dihedral_angle, matrix_place_next, verify_realization
 
 
 def quad_instance(pts):
@@ -95,6 +97,28 @@ class TestInternalCoordinates:
         for i in range(4, 13):
             measured = dihedral_angle(*(truth[i - 4:i]))
             assert abs(abs(math.cos(measured)) - abs(coords.dihedral_cos[i - 4])) <= 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(internal=st.lists(st.tuples(st.floats(0.2, math.pi - 0.2),
+                                   st.floats(-math.pi, math.pi, exclude_min=True),
+                                   st.floats(0.8, 2.5)), min_size=3, max_size=10),
+       shift=st.tuples(*[st.floats(-1e3, 1e3)] * 3))
+def test_closed_form_matches_coordinate_oracles(internal, shift):
+    # a chain placed by the torsion-matrix oracle, moved away from the
+    # origin and read back through its clique distances only
+    (theta0, _, d0), (_, _, d1) = internal[:2]
+    pts = [np.zeros(3), np.array([-d0, 0.0, 0.0])]
+    pts.append(pts[1] + d1 * np.array([math.cos(theta0), math.sin(theta0), 0.0]))
+    for theta, omega, d in internal[2:]:
+        pts.append(matrix_place_next(pts[-3], pts[-2], pts[-1], theta, omega, d)[0])
+    pts = np.array(pts) + np.array(shift)
+    coords = internal_coordinates(ingest_coordinates(format_points(pts), cutoff=0))
+    for i in range(3, len(pts) + 1):
+        assert abs(coords.bond_angles[i - 3] - bond_angle(*pts[i - 3:i])) <= 1e-9
+    for i in range(4, len(pts) + 1):
+        oracle = abs(math.cos(dihedral_angle(*pts[i - 4:i])))
+        assert abs(abs(coords.dihedral_cos[i - 4]) - oracle) <= 1e-9
 
 
 class TestGenerate:
@@ -188,6 +212,14 @@ class TestTextFormats:
         _, truth = generate_instance(9, 5, 0.0)
         again = parse_points(format_points(truth))
         assert np.array_equal(again, truth)
+
+    def test_points_text_is_pinned(self):
+        pts = np.array([[-0.0, 1e-20, -1.0e20], [0.1, 1 / 3, -2.5e-7],
+                        [123456.789, -7.0, 2.0 ** -1074]])
+        assert format_points(pts) == (
+            "1 -0 9.9999999999999995e-21 -1e+20\n"
+            "2 0.10000000000000001 0.33333333333333331 -2.4999999999999999e-07\n"
+            "3 123456.789 -7 4.9406564584124654e-324\n")
 
     @pytest.mark.parametrize("text", [
         "1 0 0\n",              # wrong arity

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cgabp.dmdgp import (Instance, format_points, generate_instance, ingest_coordinates,
@@ -115,6 +115,12 @@ class TestSolve:
         edges.append((1, 4, path_bound + 1.0))
         assert solve(Instance(5, tuple(edges)), SolveOptions(mode="all")) == []
 
+    def test_infeasible_triangle_gives_empty_list(self):
+        # valid by the strict triangle test, but d(1, 3) < d(2, 3) - d(1, 2)
+        inst = Instance(4, ((1, 2, 1.0), (2, 3, 3.0), (1, 3, 1.5), (3, 4, 1.0),
+                            (2, 4, 2.5), (1, 4, 2.0)))
+        assert solve(inst, SolveOptions(mode="all")) == []
+
     def test_invalid_instance_raises(self):
         inst = Instance(5, tuple((u, v, 1.5) for u in range(1, 5) for v in (u + 1,)))
         with pytest.raises(InvalidInstanceError):
@@ -199,6 +205,15 @@ class TestReflectSuffix:
             got = reflect_suffix(base_r, vertex)
             assert np.max(np.abs(got - by_path[target])) <= 1e-8
 
+    def test_commutes_with_translation(self):
+        # far from the origin the conformal points' coefficients grow with
+        # |x|^2, which must not make the carrier plane look degenerate
+        _, truth = generate_instance(9, 6, 0.0)
+        t = np.array([100.0, 0.0, 0.0])
+        for vertex in range(4, 10):
+            moved = reflect_suffix(truth + t, vertex)
+            assert np.max(np.abs(moved - (reflect_suffix(truth, vertex) + t))) <= 1e-8
+
     def test_bad_vertex_rejected(self):
         _, truth = generate_instance(6, 6, 0.0)
         with pytest.raises(ValueError):
@@ -246,6 +261,26 @@ def test_every_solution_satisfies_every_edge(n, seed, extra):
     eps = 1e-4
     for r, _ in solve(inst, SolveOptions(eps=eps)):
         assert verify_realization(inst, r, eps)[0] <= eps
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(5, 12), seed=st.integers(0, 2**16), extra=st.floats(0.0, 0.3),
+       ingest=st.booleans())
+@example(n=200, seed=91, extra=0.0, ingest=True)
+@example(n=200, seed=130, extra=0.0, ingest=True)
+@example(n=200, seed=322, extra=0.0, ingest=True)
+def test_solutions_are_closed_under_mirroring(n, seed, extra, ingest):
+    # vertex 4 is always a symmetry vertex, so the mirror image of every
+    # realization through the anchor plane z = 0 is a realization too; the
+    # fixed cases each have a vertex whose two placements lie under eps apart
+    inst, truth = generate_instance(n, seed, extra)
+    if ingest:
+        inst = ingest_coordinates(format_points(truth), cutoff=5.0)
+    eps = 1e-4
+    sols = [r for r, _ in solve(inst, SolveOptions(eps=eps))]
+    for r in sols:
+        mirror = r * np.array([1.0, 1.0, -1.0])
+        assert min(np.max(np.abs(mirror - q)) for q in sols) <= eps
 
 
 def test_branch_path_round_trip():
