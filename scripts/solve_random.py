@@ -19,7 +19,6 @@ from cgabp.geometry import matrix_place_next, verify_realization
 from cgabp.solver import SolveOptions, initialize_first_three, solve
 
 GAP_TOL = 1e-8  # largest coordinate gap to the matrix replay counted as agreement
-EPS = 1e-4      # the solve's pruning tolerance
 
 
 def matrix_replay(coords, path):
@@ -41,11 +40,12 @@ def main():
 
     print(f"{'n':>5} {'edges':>6} {'solutions':>10} {'worst viol':>12} "
           f"{'truth err':>11} {'time [s]':>9} {'oracle gap':>11} {'mirror':>7}")
+    opts = SolveOptions(mode="all")
     mismatches = unmirrored = 0
     for n in args.sizes:
         inst, truth = generate_instance(n, args.seed + n, args.extra_edges)
         t0 = time.perf_counter()
-        sols = solve(inst, SolveOptions(eps=EPS, mode="all"))
+        sols = solve(inst, opts)
         dt = time.perf_counter() - t0
         mirror = truth * np.array([1.0, 1.0, -1.0])
         worst = max((verify_realization(inst, r)[0] for r, _ in sols), default=float("nan"))
@@ -55,7 +55,7 @@ def main():
         gap = max((float(np.max(np.abs(r - matrix_replay(coords, p)))) for r, p in sols),
                   default=0.0)
         closed = all(min(np.max(np.abs(r * np.array([1.0, 1.0, -1.0]) - q)) for q, _ in sols)
-                     <= EPS for r, _ in sols)
+                     <= opts.eps for r, _ in sols)
         mismatches += gap > GAP_TOL
         unmirrored += not closed
         print(f"{n:>5} {len(inst.edges):>6} {len(sols):>10} {worst:>12.3e} "

@@ -101,10 +101,11 @@ def solve(inst: Instance, opts: SolveOptions = SolveOptions()):
     InvalidInstanceError.  All step motors are built at once, in closed form.
 
     A vertex whose two placements lie within ``eps`` of each other
-    (2 d sin(theta) |sin(omega)| <= eps) is near-coincident.  Both its
-    children are walked, but a leaf taking the - child at such a vertex is
-    returned only if no returned realization lies within ``eps`` of it
-    (largest coordinate difference), so it does not double the solutions.
+    (2 d sin(theta) |sin(omega)| <= eps) is near-coincident.  At a torsion
+    of 0 or pi up to rounding only its + child is walked.  Otherwise both
+    are, but a leaf taking the - child there is returned only if no
+    returned realization lies within ``eps`` of it (largest coordinate
+    difference), so it does not double the solutions.
     """
     report = validate_instance(inst)
     if not report.is_dmdgp:
@@ -122,7 +123,12 @@ def solve(inst: Instance, opts: SolveOptions = SolveOptions()):
     omega = np.arccos(coords.dihedral_cos)
     # steps[k, 0] and steps[k, 1] place vertex k + 4 at torsion +omega and -omega
     steps = np.stack((step_motor(theta, omega, d), step_motor(theta, -omega, d)), axis=1)
-    near = np.flatnonzero(2.0 * d * np.sin(theta) * np.sin(omega) <= opts.eps).tolist()
+    near = 2.0 * d * np.sin(theta) * np.sin(omega) <= opts.eps
+    # cos(omega) within 1024 ulp of +-1 (omega within 7e-7 rad of 0 or pi) is
+    # planar up to the closed form's rounding (a few hundred ulp on planar
+    # chains); its - child would double the subtree below it, never pruned
+    planar = near & (1.0 - np.abs(coords.dihedral_cos) <= 1024 * np.finfo(float).eps)
+    width, near = np.where(planar, 1, 2).tolist(), np.flatnonzero(near & ~planar).tolist()
     # motors[v] is the torsion_matrix frame at vertex v.  From the identity
     # frame at x1, a step back along -e1 (bond angle 0) reaches x2 and a step
     # with torsion pi reaches x3, the anchor frame.
@@ -142,7 +148,7 @@ def solve(inst: Instance, opts: SolveOptions = SolveOptions()):
             v -= 1
             continue
         k = v - 4
-        if tried[k] == 2:
+        if tried[k] == width[k]:
             tried[k] = 0
             v -= 1
             continue

@@ -96,7 +96,7 @@ class TestInternalCoordinates:
         assert np.max(np.abs(coords.bond_angles - GENERATOR_BOND_ANGLE)) <= 1e-9
         for i in range(4, 13):
             measured = dihedral_angle(*(truth[i - 4:i]))
-            assert abs(abs(math.cos(measured)) - abs(coords.dihedral_cos[i - 4])) <= 1e-9
+            assert abs(math.cos(measured) - coords.dihedral_cos[i - 4]) <= 1e-9
 
 
 @settings(max_examples=60, deadline=None)
@@ -117,8 +117,8 @@ def test_closed_form_matches_coordinate_oracles(internal, shift):
     for i in range(3, len(pts) + 1):
         assert abs(coords.bond_angles[i - 3] - bond_angle(*pts[i - 3:i])) <= 1e-9
     for i in range(4, len(pts) + 1):
-        oracle = abs(math.cos(dihedral_angle(*pts[i - 4:i])))
-        assert abs(abs(coords.dihedral_cos[i - 4]) - oracle) <= 1e-9
+        oracle = math.cos(dihedral_angle(*pts[i - 4:i]))
+        assert abs(coords.dihedral_cos[i - 4] - oracle) <= 1e-9
 
 
 class TestGenerate:

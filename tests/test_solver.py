@@ -13,6 +13,7 @@ from cgabp.dmdgp import (Instance, format_points, generate_instance, ingest_coor
                          internal_coordinates)
 from cgabp.errors import DegenerateGeometryError, InvalidInstanceError
 from cgabp.geometry import bond_angle, matrix_place_next, verify_realization
+from cgabp import solver
 from cgabp.solver import (BranchPath, SolveOptions, expand_by_symmetry,
                           initialize_first_three, prune_check, reflect_suffix,
                           solve)
@@ -30,6 +31,16 @@ def matrix_replay(inst, path):
         omega = math.acos(min(1.0, max(-1.0, float(coords.dihedral_cos[k]))))
         pts.append(matrix_place_next(pts[-3], pts[-2], pts[-1], float(coords.bond_angles[k + 1]),
                                      sign * omega, float(coords.bond_lengths[k + 2]))[0])
+    return np.array(pts)
+
+
+def chain_points(torsions, theta=1.91, d=1.526):
+    """Chain with one bond angle and length, placed by the torsion-matrix
+    oracle; torsions[k] is the torsion of vertex k + 4."""
+    pts = [np.zeros(3), np.array([-d, 0.0, 0.0])]
+    pts.append(pts[1] + d * np.array([math.cos(theta), math.sin(theta), 0.0]))
+    for omega in torsions:
+        pts.append(matrix_place_next(pts[-3], pts[-2], pts[-1], theta, omega, d)[0])
     return np.array(pts)
 
 
@@ -157,15 +168,37 @@ class TestSolve:
         assert np.max(np.abs(r - matrix_replay(inst, path))) <= 1e-8
 
     def test_coincident_children_are_not_branched(self):
-        # planar torsions (0 and pi) at vertices 4 and 6: their two
-        # placements coincide, so only vertex 5 branches
-        pts = [np.zeros(3), np.array([-1.526, 0.0, 0.0])]
-        pts.append(pts[1] + 1.526 * np.array([math.cos(1.91), math.sin(1.91), 0.0]))
-        for omega in (0.0, 1.0, math.pi):
-            pts.append(matrix_place_next(pts[-3], pts[-2], pts[-1], 1.91, omega, 1.526)[0])
-        inst = ingest_coordinates(format_points(np.array(pts)), cutoff=0)
+        # torsions 0 and pi at vertices 4 and 6 are planar up to rounding:
+        # only their + child is walked, so only vertex 5 branches
+        inst = ingest_coordinates(format_points(chain_points((0.0, 1.0, math.pi))), cutoff=0)
         sols = solve(inst, SolveOptions(mode="all"))
         assert [str(p) for _, p in sols] == ["+++", "+-+"]
+
+    def test_near_coincident_minus_leaves_are_merged(self):
+        # torsions 1e-6 rad from 0 and pi put the two placements of vertices
+        # 4 and 6 about 3e-6 apart: both children are walked, and every leaf
+        # taking a - child there lies within eps of a returned one
+        inst = ingest_coordinates(format_points(chain_points((1e-6, 1.0, math.pi - 1e-6))),
+                                  cutoff=0)
+        sols = solve(inst, SolveOptions(mode="all"))
+        assert [str(p) for _, p in sols] == ["+++", "+-+"]
+
+    @pytest.mark.parametrize("torsions, cutoff, count", [
+        ((math.pi,) * 27, 0.0, 1),                  # planar zigzag, n = 30
+        ((-0.8, math.pi, -1.0) * 15, 5.0, 2),       # helix with trans peptides, n = 48
+    ])
+    def test_planar_torsions_keep_the_walk_linear(self, monkeypatch, torsions, cutoff, count):
+        # a torsion of exactly 0 or pi must not double the tree below it
+        inst = ingest_coordinates(format_points(chain_points(torsions)), cutoff=cutoff)
+        calls = []
+
+        def counted(partial, instance, eps):
+            calls.append(len(partial))
+            assert len(calls) <= 4 * inst.n, "tree walk is not linear in n"
+            return prune_check(partial, instance, eps)
+
+        monkeypatch.setattr(solver, "prune_check", counted)
+        assert len(solve(inst, SolveOptions(mode="all"))) == count
 
     def test_options_validation(self):
         with pytest.raises(ValueError):
