@@ -8,6 +8,7 @@ usage or input errors.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -19,21 +20,14 @@ from .errors import FileFormatError, InvalidInstanceError
 from .geometry import verify_realization
 from .solver import SolveOptions, solve
 
-DEFAULT_EPS_ENV = "CGABP_EPS"
-
-
-def _default_eps() -> float:
-    raw = os.environ.get(DEFAULT_EPS_ENV)
-    if raw is None:
-        return 1e-4
+def _eps(text: str) -> float:
+    """argparse type of ``--eps``: a positive finite distance in angstroms."""
     try:
-        eps = float(raw)
+        eps = float(text)
     except ValueError:
-        print(f"error: {DEFAULT_EPS_ENV}={raw!r} is not a number", file=sys.stderr)
-        raise SystemExit(2)
-    if eps <= 0:
-        print(f"error: {DEFAULT_EPS_ENV} must be positive", file=sys.stderr)
-        raise SystemExit(2)
+        eps = math.nan
+    if not (math.isfinite(eps) and eps > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
     return eps
 
 
@@ -127,7 +121,9 @@ def _cmd_bench(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    eps_default = _default_eps()
+    # argparse runs a string default through _eps too, for the commands that take --eps
+    eps = dict(type=_eps, default=os.environ.get("CGABP_EPS", "1e-4"),
+               help="largest distance error on any edge, angstroms (default: $CGABP_EPS or 1e-4)")
     parser = argparse.ArgumentParser(
         prog="cgabp",
         description="Branch & Prune solver for discretizable molecular "
@@ -138,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve an instance file")
     p.add_argument("instance")
     p.add_argument("--all", action="store_true", help="enumerate all realizations")
-    p.add_argument("--eps", type=float, default=eps_default, help="pruning tolerance")
+    p.add_argument("--eps", **eps)
     p.add_argument("--max-solutions", type=int, default=None)
     p.add_argument("--out", default=None, help="write realizations here")
     p.set_defaults(func=_cmd_solve)
@@ -155,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a realization against an instance")
     p.add_argument("instance")
     p.add_argument("realization")
-    p.add_argument("--eps", type=float, default=eps_default)
+    p.add_argument("--eps", **eps)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bench", help="motor vs matrix micro-benchmarks")

@@ -31,13 +31,13 @@ class Instance:
     n: int
     edges: tuple[tuple[int, int, float], ...]
     _dist: dict = field(init=False, repr=False, compare=False)
-    _below: dict = field(init=False, repr=False, compare=False)
+    _pruning: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"vertex count must be positive, got {self.n}")
         dist: dict[tuple[int, int], float] = {}
-        below: dict[int, list[tuple[int, float]]] = {i: [] for i in range(1, self.n + 1)}
+        far: list[list[tuple[int, float]]] = [[] for _ in range(self.n + 1)]
         norm = []
         for u, v, d in self.edges:
             if not (1 <= u < v <= self.n):
@@ -48,20 +48,25 @@ class Instance:
             if d <= 0.0:
                 raise ValueError(f"edge ({u},{v}) has non-positive distance {d}")
             dist[(u, v)] = d
-            below[v].append((u, d))
+            if v - u >= 4:
+                far[v].append((u - 1, d))
             norm.append((u, v, d))
+        none = (np.empty(0, dtype=np.intp), np.empty(0))
+        pruning = tuple((np.array([u for u, _ in e], dtype=np.intp), np.array([d for _, d in e]))
+                        if e else none for e in far)
         object.__setattr__(self, "edges", tuple(norm))
         object.__setattr__(self, "_dist", dist)
-        object.__setattr__(self, "_below", below)
+        object.__setattr__(self, "_pruning", pruning)
 
     def distance(self, u: int, v: int) -> float | None:
         if u > v:
             u, v = v, u
         return self._dist.get((u, v))
 
-    def neighbors_below(self, v: int) -> list[tuple[int, float]]:
-        """Edges (u, d) with u < v, the pruning constraints for vertex v."""
-        return self._below[v]
+    def pruning_edges(self, v: int) -> tuple[np.ndarray, np.ndarray]:
+        """The edges (u, v) with v - u >= 4, the only ones that can prune a
+        placement of v, as arrays of 0-based u and of d."""
+        return self._pruning[v]
 
 
 @dataclass(frozen=True)
@@ -78,20 +83,16 @@ class InternalCoords:
     ``bond_lengths[i-2]`` is d(i-1, i) for i = 2..n, ``bond_angles[i-3]``
     the angle at i-1 for i = 3..n, and ``dihedral_cos[i-4]`` the cosine of
     the torsion for i = 4..n (the sign is not determined by distances).
+    ``clique_miss[i-4]`` is how far, in angstroms, vertex i placed at that
+    cosine misses d(i-3, i); it is 0 unless the cosine had to be clipped
+    to [-1, 1].
     """
 
     n: int
     bond_lengths: np.ndarray
     bond_angles: np.ndarray
     dihedral_cos: np.ndarray
-
-    def __post_init__(self):
-        if np.any(self.bond_lengths <= 0):
-            raise ValueError("bond lengths must be positive")
-        if np.any((self.bond_angles <= 0) | (self.bond_angles >= math.pi)):
-            raise ValueError("bond angles must lie in (0, pi)")
-        if np.any(np.abs(self.dihedral_cos) > 1.0 + 1e-12):
-            raise ValueError("dihedral cosines must lie in [-1, 1]")
+    clique_miss: np.ndarray
 
 
 def validate_instance(inst: Instance) -> ValidationReport:
@@ -119,21 +120,21 @@ def validate_instance(inst: Instance) -> ValidationReport:
 
 
 def internal_coordinates(inst: Instance) -> InternalCoords:
-    """Bond lengths, bond angles and unsigned torsions, in closed form from
-    the arrays of d(i-1, i), d(i-2, i) and d(i-3, i).
+    """Bond lengths, bond angles, unsigned torsions and 4-clique misses, in
+    closed form from the arrays of d(i-1, i), d(i-2, i) and d(i-3, i).
 
     Those distances give the Gram entries of the bond vectors b_k: bond
     angles follow by the law of cosines, and for each consecutive 4-clique
     with normals n1 = b1 x b2 and n2 = b2 x b3 the torsion cosine is
-    n1.n2 / (|n1| |n2|) and the squared out-of-plane height of its last
-    vertex is det(Gram) / |n1|^2.  A triangle with |cos(theta)| >= 1, or a
-    4-clique with squared height below -1e-9 (angstroms squared), has no
-    embedding and raises InfeasibleInstanceError.
+    n1.n2 / (|n1| |n2|), clipped to [-1, 1].  Clipping moves b1.b3, and
+    with it the placed d(i-3, i); the clique's miss is that move, in
+    angstroms, for the caller to judge against its tolerance.  A triangle
+    with |cos(theta)| >= 1 is collinear or worse, fixes no torsion frame,
+    and raises InfeasibleInstanceError.
     """
     n, dist = inst.n, inst.distance
-    d1 = np.array([dist(i - 1, i) for i in range(2, n + 1)])
-    sq1 = d1 * d1
-    sq2, sq3 = (np.array([dist(i - k, i) for i in range(k + 1, n + 1)]) ** 2 for k in (2, 3))
+    d1, d2, d3 = (np.array([dist(i - k, i) for i in range(k + 1, n + 1)]) for k in (1, 2, 3))
+    sq1, sq2, sq3 = d1 * d1, d2 * d2, d3 * d3
     dots = 0.5 * (sq2 - sq1[:-1] - sq1[1:])          # b_k . b_(k+1)
     cos_theta = -dots / (d1[:-1] * d1[1:])
     bad = np.flatnonzero(np.abs(cos_theta) >= 1.0) + 1
@@ -143,14 +144,12 @@ def internal_coordinates(inst: Instance) -> InternalCoords:
     cross2 = sq1[:-1] * sq1[1:] * (1.0 - cos_theta) * (1.0 + cos_theta)  # |b_k x b_(k+1)|^2
     g11, g22, g33, g12, g23 = sq1[:-2], sq1[1:-1], sq1[2:], dots[:-1], dots[1:]
     g13 = 0.5 * (sq3 - g11 - g22 - g33) - g12 - g23
-    n1n2, n1sq, n2sq = g12 * g23 - g13 * g22, cross2[:-1], cross2[1:]
-    height2 = (n1sq * n2sq - n1n2 * n1n2) / (g22 * n1sq)
-    bad = np.flatnonzero(height2 < -1e-9) + 1
-    if bad.size:
-        clique = tuple(range(bad[0], bad[0] + 4))
-        raise InfeasibleInstanceError(f"4-clique {clique} admits no embedding")
-    cosines = np.clip(n1n2 / np.sqrt(n1sq * n2sq), -1.0, 1.0)
-    return InternalCoords(n, d1, np.arccos(cos_theta), cosines)
+    norms = np.sqrt(cross2[:-1] * cross2[1:])        # |n1| |n2|
+    raw = (g12 * g23 - g13 * g22) / norms
+    cosines = np.clip(raw, -1.0, 1.0)
+    # d(i-3, i)^2 = g11 + g22 + g33 + 2 (g12 + g23 + b1.b3), b1.b3 = (g12 g23 - n1.n2) / g22
+    placed = np.sqrt(np.maximum(sq3 + 2.0 * norms * (raw - cosines) / g22, 0.0))
+    return InternalCoords(n, d1, np.arccos(cos_theta), cosines, np.abs(placed - d3))
 
 
 def generate_instance(n: int, seed: int, extra_edge_fraction: float = 0.0):

@@ -8,7 +8,7 @@ class DegenerateGeometryError(ValueError):
 
 
 class InfeasibleInstanceError(ValueError):
-    """A consecutive 4-clique admits no Euclidean embedding."""
+    """A consecutive triangle admits no Euclidean embedding (|cos theta| >= 1)."""
 
 
 class InvalidInstanceError(ValueError):

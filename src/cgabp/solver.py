@@ -4,9 +4,10 @@ One iterative depth-first loop serves every mode.  The frame of each
 placed vertex is an 8-coefficient motor; a child composes its parent's
 motor with one of the two step motors of its vertex (torsion +omega or
 -omega), built once per solve, and its point is the new motor's image of
-the origin.  Pruning tests every known distance into the vertex just
-fixed, so every edge is checked when its higher endpoint is fixed and
-leaves need no further verification.
+the origin.  Each edge is checked once, within ``eps`` angstroms: the
+discretization edges (v-3..v-1, v), which fix a vertex's two candidates,
+at set-up through the triangles and 4-cliques; the pruning edges
+(v - u >= 4) once per node, so leaves need no further verification.
 """
 
 from __future__ import annotations
@@ -54,14 +55,14 @@ class SolveOptions:
     same with or without it.  It is kept so that callers which still pass
     it keep working."""
 
-    eps: float = 1e-4                 # pruning tolerance, angstroms
+    eps: float = 1e-4                 # largest distance error on any edge, angstroms
     mode: str = "all"                 # "all" | "first"
     max_solutions: int | None = None
     use_symmetry: bool = False
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"eps must be a positive finite number, got {self.eps!r}")
         if self.mode not in ("all", "first"):
             raise ValueError(f"mode must be 'all' or 'first', got {self.mode!r}")
         if self.max_solutions is not None and self.max_solutions < 1:
@@ -82,13 +83,14 @@ def initialize_first_three(coords: InternalCoords) -> np.ndarray:
 
 
 def prune_check(partial: np.ndarray, inst: Instance, eps: float) -> bool:
-    """Feasibility of the last placed vertex against all known distances to it."""
-    i = len(partial)
-    x = partial[i - 1]
-    for j, d in inst.neighbors_below(i):
-        if abs(np.linalg.norm(x - partial[j - 1]) - d) > eps:
-            return False
-    return True
+    """Whether the last placed vertex meets each of its pruning edges within
+    ``eps``.  Its discretization edges were checked at set-up: a placement
+    meets them by construction."""
+    u, d = inst.pruning_edges(len(partial))
+    if not u.size:
+        return True
+    diff = partial[u] - partial[-1]
+    return bool(np.abs(np.sqrt(np.einsum("ij,ij->i", diff, diff)) - d).max() <= eps)
 
 
 def solve(inst: Instance, opts: SolveOptions = SolveOptions()):
@@ -96,9 +98,10 @@ def solve(inst: Instance, opts: SolveOptions = SolveOptions()):
 
     Returns a list of (realization, branch path) pairs in deterministic
     depth-first order (the + branch is explored before -).  An instance
-    with no realization (an infeasible triangle or 4-clique included)
-    yields an empty list; a non-discretizable one raises
-    InvalidInstanceError.  All step motors are built at once, in closed form.
+    with no realization yields an empty list: so does one with a triangle
+    that does not embed or a 4-clique that misses its own distance by more
+    than ``eps``.  A non-discretizable instance raises InvalidInstanceError.
+    All step motors are built at once, in closed form.
 
     A vertex whose two placements lie within ``eps`` of each other
     (2 d sin(theta) |sin(omega)| <= eps) is near-coincident.  At a torsion
@@ -114,11 +117,11 @@ def solve(inst: Instance, opts: SolveOptions = SolveOptions()):
         coords = internal_coordinates(inst)
     except InfeasibleInstanceError:
         return []
+    if np.any(coords.clique_miss > opts.eps):
+        return []
     n = inst.n
     points = np.zeros((n, 3))
     points[:3] = initialize_first_three(coords)
-    if not prune_check(points[:2], inst, opts.eps) or not prune_check(points[:3], inst, opts.eps):
-        return []
     theta, d = coords.bond_angles[1:], coords.bond_lengths[2:]
     omega = np.arccos(coords.dihedral_cos)
     # steps[k, 0] and steps[k, 1] place vertex k + 4 at torsion +omega and -omega

@@ -120,8 +120,20 @@ def test_eps_env_override(tmp_path, monkeypatch, capsys):
     truth_file.write_text("\n".join(
         f"{i+1} {p[0]:.17g} {p[1]:.17g} {p[2]:.17g}" for i, p in enumerate(pts)) + "\n")
     assert run(["verify", str(inst_file), str(truth_file)]) == 1
+    # eps must be a positive finite number wherever it comes from; nan
+    # would turn pruning off and let every branch through
+    for bad in ("not-a-number", "-1", "0", "nan", "inf"):
+        monkeypatch.setenv("CGABP_EPS", bad)
+        assert run(["verify", str(inst_file), str(truth_file)]) == 2
+        assert run(["solve", str(inst_file)]) == 2
+        assert "positive finite" in capsys.readouterr().err
+        monkeypatch.setenv("CGABP_EPS", "1e-4")
+        assert run(["verify", str(inst_file), str(truth_file), "--eps", bad]) == 2
+        assert run(["solve", str(inst_file), "--eps", bad]) == 2
+        assert "positive finite" in capsys.readouterr().err
+    # a command without --eps never reads the variable
     monkeypatch.setenv("CGABP_EPS", "not-a-number")
-    assert run(["verify", str(inst_file), str(truth_file)]) == 2
+    assert run(["generate", "--n", "5", "--seed", "9", "--out", str(inst_file)]) == 0
 
 
 def test_bench_subcommand(capsys):

@@ -12,8 +12,9 @@ from cgabp.dmdgp import (GENERATOR_BOND_ANGLE, GENERATOR_BOND_LENGTH, Instance,
                          format_instance, format_points, generate_instance,
                          ingest_coordinates, internal_coordinates,
                          parse_instance, parse_points, validate_instance)
-from cgabp.errors import FileFormatError, InfeasibleInstanceError
+from cgabp.errors import FileFormatError
 from cgabp.geometry import bond_angle, dihedral_angle, matrix_place_next, verify_realization
+from cgabp.solver import SolveOptions, initialize_first_three, solve
 
 
 def quad_instance(pts):
@@ -38,10 +39,16 @@ class TestInstance:
             Instance(4, ((1, 2, 0.0),))
 
     def test_lookups(self):
-        inst = Instance(4, ((1, 2, 1.0), (2, 3, 2.0)))
+        inst = Instance(6, ((1, 2, 1.0), (2, 3, 2.0), (1, 5, 3.0), (2, 6, 4.0), (1, 6, 5.0)))
         assert inst.distance(2, 1) == 1.0
         assert inst.distance(1, 3) is None
-        assert inst.neighbors_below(3) == [(2, 2.0)]
+        # only edges with v - u >= 4 are pruning edges, u given 0-based
+        u, d = inst.pruning_edges(6)
+        assert u.tolist() == [1, 0] and d.tolist() == [4.0, 5.0]
+        u, d = inst.pruning_edges(5)
+        assert u.tolist() == [0] and d.tolist() == [3.0]
+        for v in (1, 2, 3, 4):
+            assert inst.pruning_edges(v)[0].size == 0 and inst.pruning_edges(v)[1].size == 0
 
 
 class TestValidate:
@@ -84,10 +91,24 @@ class TestInternalCoordinates:
         assert abs(coords.dihedral_cos[0] - math.cos(1.0)) <= 1e-9
 
     def test_infeasible_quadruplet(self):
+        # d(1, 4) is far beyond any torsion's reach: the clamped placement
+        # misses it by more than any tolerance, and solve returns nothing
         inst = Instance(4, ((1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (1, 3, 1.2),
                             (2, 4, 1.2), (1, 4, 10.0)))
-        with pytest.raises(InfeasibleInstanceError):
-            internal_coordinates(inst)
+        coords = internal_coordinates(inst)
+        assert coords.dihedral_cos[0] == -1.0
+        anchor = initialize_first_three(coords)
+        x4 = matrix_place_next(*anchor, coords.bond_angles[1], math.pi, coords.bond_lengths[2])[0]
+        placed = np.linalg.norm(x4 - anchor[0])
+        assert abs(coords.clique_miss[0] - (10.0 - placed)) <= 1e-12
+        assert coords.clique_miss[0] > 1.0
+        assert solve(inst, SolveOptions(mode="all")) == []
+
+    def test_clique_miss_is_zero_where_the_cosine_is_not_clipped(self):
+        inst, _ = generate_instance(12, 31, 0.0)
+        coords = internal_coordinates(inst)
+        assert np.all(np.abs(coords.dihedral_cos) < 1.0)
+        assert np.all(coords.clique_miss == 0.0)
 
     def test_generated_chain_reproduces_generator_constants(self):
         inst, truth = generate_instance(12, 31, 0.0)

@@ -1,0 +1,47 @@
+"""The benchmark harness in perfbench/ still runs against the program.
+
+Each workload of perfbench/workloads.py is built at one seed and sent one
+untraced and one traced request through its correctness gate, and the
+per-layer metrics are computed from the trace.  This catches, without a
+30 s benchmark run, a solver change that makes a set-up request fail, a
+module attribute the tracer wraps that is gone, or a ``prune_check`` that
+is no longer called once per search node (``solver.nodes`` counts it).
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from cgabp.dmdgp import parse_instance
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import tracing  # noqa: E402
+import workloads  # noqa: E402
+
+SEED = 5
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_requests_pass_their_gate(name):
+    workload = workloads.WORKLOADS[name]
+    cases, setup_failures = workload.build(SEED)
+    assert cases and not setup_failures, dict(setup_failures)
+    case = cases[0]
+    sols, texts = workloads.request(case, workload.mode, workload.use_symmetry)
+    assert workload.gate(case, sols, texts) is None
+    tracer = tracing.Tracer()
+    with tracer.installed(rid=0):
+        sols, texts = workloads.request(case, workload.mode, workload.use_symmetry)
+    assert workload.gate(case, sols, texts) is None
+    metrics = tracing.layer_metrics(tracer.per_request())
+    nodes = metrics["solver.nodes"][0]
+    if name == "enum":
+        # every node of the unpruned tree: 2 + 4 + ... + 2^(n-3)
+        assert nodes == 2 ** (case.n - 2) - 2
+    else:
+        # at least one descent from vertex 4 to vertex n
+        assert nodes >= case.n - 3
+    assert 0.0 < metrics["solver.prune_accept_ratio"][0] <= 1.0
+    assert metrics["dmdgp.edges"][0] == len(parse_instance(case.text).edges)

@@ -71,11 +71,37 @@ class TestPruneCheck:
             assert prune_check(truth[:i], inst, 1e-6)
 
     def test_perturbed_prefix_fails(self):
-        inst, truth = generate_instance(9, 2, 0.0)
+        inst, truth = generate_instance(9, 2, 0.5)
         eps = 1e-4
-        bad = truth[:5].copy()
-        bad[4] += 10 * eps
+        u, _ = inst.pruning_edges(9)
+        assert u.size
+        # move vertex 9 away from its first pruning neighbour by 10 eps
+        away = truth[8] - truth[u[0]]
+        bad = truth.copy()
+        bad[8] += 10 * eps * away / np.linalg.norm(away)
         assert not prune_check(bad, inst, eps)
+
+    def test_matches_per_edge_loop(self, rng):
+        # a per-edge loop over the edges with v - u >= 4 is the reference; a
+        # prefix with a miss within 1e-12 of eps may round either way: skip it
+        eps = 1e-3
+        for seed in range(4):
+            inst, truth = generate_instance(14, seed, 0.5)
+            for v in range(5, 15):
+                bad = truth[:v] + rng.normal(scale=eps / 2, size=(v, 3))
+                misses = [abs(np.linalg.norm(bad[v - 1] - bad[u - 1]) - d)
+                          for u, w, d in inst.edges if w == v and v - u >= 4]
+                if any(abs(m - eps) <= 1e-12 for m in misses):
+                    continue
+                assert prune_check(bad, inst, eps) == all(m <= eps for m in misses)
+
+    def test_discretization_edges_are_not_checked(self):
+        # vertex 5 has no pruning edge: its clique edges are met by
+        # construction, so a perturbed vertex 5 is not tested again
+        inst, truth = generate_instance(9, 2, 0.0)
+        bad = truth[:5].copy()
+        bad[4] += 1.0
+        assert prune_check(bad, inst, 1e-4)
 
     def test_anchor_passes(self):
         inst, _ = generate_instance(9, 2, 0.0)
@@ -200,9 +226,27 @@ class TestSolve:
         monkeypatch.setattr(solver, "prune_check", counted)
         assert len(solve(inst, SolveOptions(mode="all"))) == count
 
+    def test_rounded_distances_meet_eps_on_every_edge(self):
+        # distances of generate_instance(30, s, 0.2) at PDB precision (3 decimals)
+        def rounded(s):
+            inst, _ = generate_instance(30, s, 0.2)
+            return Instance(30, tuple((u, v, round(d, 3)) for u, v, d in inst.edges))
+
+        inst = rounded(0)
+        miss = internal_coordinates(inst).clique_miss
+        assert abs(miss[11] - 8.8e-4) <= 1e-5              # clique (12, 13, 14, 15)
+        assert solve(inst, SolveOptions(eps=5e-4, mode="all")) == []
+        inst = rounded(21)
+        sols = solve(inst, SolveOptions(eps=0.03, mode="first"))
+        assert len(sols) == 1
+        assert verify_realization(inst, sols[0][0], 0.03)[0] <= 0.03
+
     def test_options_validation(self):
         with pytest.raises(ValueError):
             SolveOptions(eps=0.0)
+        for eps in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="eps"):
+                SolveOptions(eps=eps)
         with pytest.raises(ValueError):
             SolveOptions(mode="everything")
         with pytest.raises(ValueError):
