@@ -8,6 +8,12 @@ the origin.  Each edge is checked once, within ``eps`` angstroms: the
 discretization edges (v-3..v-1, v), which fix a vertex's two candidates,
 at set-up through the triangles and 4-cliques; the pruning edges
 (v - u >= 4) once per node, so leaves need no further verification.
+
+At a symmetry vertex v, which no pruning edge (u, w) spans with
+u + 3 < v <= w, the - subtree is not walked: its leaves are the + subtree's
+reflected through the plane of v-3..v-1, so they are made from those
+when the search backtracks out of v, in the order the - subtree would
+have given them.
 """
 
 from __future__ import annotations
@@ -93,6 +99,55 @@ def prune_check(partial: np.ndarray, inst: Instance, eps: float) -> bool:
     return bool(np.abs(np.sqrt(np.einsum("ij,ij->i", diff, diff)) - d).max() <= eps)
 
 
+def symmetry_vertices(inst: Instance) -> np.ndarray:
+    """Mask over vertices 4..n (entry k is vertex k + 4) of the symmetry
+    vertices: those v that no edge (u, w) spans with u + 3 < v <= w.
+
+    One difference array over [u + 4, w] for every pruning edge.  At such
+    a vertex every edge from the prefix into the suffix starts on the
+    plane of v-3..v-1, so reflecting the suffix through that plane keeps
+    every distance.
+    """
+    cover = [0] * (inst.n + 2)
+    for u, w, _ in inst.edges:
+        if w - u >= 4:
+            cover[u + 4] += 1
+            cover[w + 1] -= 1
+    return np.cumsum(cover)[4:inst.n + 1] == 0
+
+
+def _mirror(blocks, plane: np.ndarray, k: int, flip: np.ndarray):
+    """The leaves of the - subtree of symmetry vertex k + 4, in search order,
+    from the (points, signs) blocks of its + subtree: rows k + 3.. reflected
+    through the plane of ``plane``'s three points, the order reversed and
+    the signs from vertex k + 4 on multiplied by ``flip``."""
+    pts = np.concatenate([p[::-1] for p, _ in reversed(blocks)])
+    signs = np.concatenate([s[::-1] for _, s in reversed(blocks)])
+    # the cross product on floats: np.cross costs tens of microseconds
+    (ux, uy, uz), (wx, wy, wz) = (plane[1:] - plane[0]).tolist()
+    normal = np.array((uy * wz - uz * wy, uz * wx - ux * wz, ux * wy - uy * wx))
+    normal /= math.sqrt(normal @ normal)
+    tail = pts[:, k + 3:]
+    tail -= 2.0 * ((tail - plane[0]) @ normal)[..., None] * normal
+    signs[:, k:] *= flip[k:]
+    return pts, signs
+
+
+def _emit(out: list, pts: np.ndarray, signs: np.ndarray, near: np.ndarray, eps: float,
+          cap: int | None) -> bool:
+    """Append leaves to ``out`` in order; True once it holds ``cap`` of them.
+    A leaf that takes the - child at a near-coincident vertex is appended
+    only if no realization in ``out`` lies within ``eps`` of it."""
+    paths = list(map(BranchPath, map(tuple, signs.tolist())))
+    merged = (signs[:, near] < 0).any(axis=1).tolist()
+    for r, path, dup in zip(pts, paths, merged):
+        if not (dup and any(np.max(np.abs(r - q)) <= eps for q, _ in out)):
+            out.append((r, path))
+            if len(out) == cap:
+                return True
+    return False
+
+
 def solve(inst: Instance, opts: SolveOptions = SolveOptions()):
     """All (or the first) realizations of a discretizable instance.
 
@@ -109,6 +164,17 @@ def solve(inst: Instance, opts: SolveOptions = SolveOptions()):
     are, but a leaf taking the - child there is returned only if no
     returned realization lies within ``eps`` of it (largest coordinate
     difference), so it does not double the solutions.
+
+    At a symmetry vertex v (see ``symmetry_vertices``) only the + child
+    is walked.  When the search backtracks out of v, the leaves reached
+    below it (before the merge above) are reflected through the plane of
+    v-3..v-1: these are exactly the leaves of the - subtree, since the
+    reflection keeps every edge and so every prune.  They are returned in
+    reverse order, which is the order the - subtree visits them in, with
+    the signs of v and every later vertex flipped, except at planar
+    vertices, which keep the + a walk gives them.  Each goes through the
+    merge, and ``mode="first"`` and ``max_solutions`` count merged
+    solutions, as for walked leaves.
     """
     report = validate_instance(inst)
     if not report.is_dmdgp:
@@ -131,30 +197,43 @@ def solve(inst: Instance, opts: SolveOptions = SolveOptions()):
     # planar up to the closed form's rounding (a few hundred ulp on planar
     # chains); its - child would double the subtree below it, never pruned
     planar = near & (1.0 - np.abs(coords.dihedral_cos) <= 1024 * np.finfo(float).eps)
-    width, near = np.where(planar, 1, 2).tolist(), np.flatnonzero(near & ~planar).tolist()
+    # one child is walked at planar vertices and at symmetry vertices, whose
+    # - subtree is mirrored when the search backtracks out of them
+    mirror = symmetry_vertices(inst) & ~planar
+    width = np.where(planar | mirror, 1, 2).tolist()
+    flip = np.where(planar, 1, -1).astype(np.int8)   # sign change of a vertex in a mirrored suffix
+    near, mirror = np.flatnonzero(near & ~planar), mirror.tolist()
     # motors[v] is the torsion_matrix frame at vertex v.  From the identity
     # frame at x1, a step back along -e1 (bond angle 0) reaches x2 and a step
     # with torsion pi reaches x3, the anchor frame.
     motors = np.zeros((n + 1, 8))
     motors[3] = compose_motors(step_motor(0.0, 0.0, coords.bond_lengths[0]),
                                step_motor(coords.bond_angles[0], math.pi, coords.bond_lengths[1]))
+    cap = 1 if opts.mode == "first" else opts.max_solutions
     out: list = []
+    leaves: list = []         # (points, signs) blocks of every leaf reached, before the merge
     tried = [0] * (n - 3)     # children of vertex k + 4 walked so far on the current path
+    start = [0] * (n - 3)     # len(leaves) when vertex k + 4's first child was walked
     v = 4
     while v > 3:
         if v > n:
-            merged = any(tried[k] == 2 for k in near)
-            if not (merged and any(np.max(np.abs(points - r)) <= opts.eps for r, _ in out)):
-                out.append((points.copy(), BranchPath(tuple(1 if t == 1 else -1 for t in tried))))
-                if opts.mode == "first" or len(out) == opts.max_solutions:
-                    break
+            leaves.append((points[None].copy(), np.array([[1 if t == 1 else -1 for t in tried]],
+                                                         dtype=np.int8)))
+            if _emit(out, *leaves[-1], near, opts.eps, cap):
+                break
             v -= 1
             continue
         k = v - 4
         if tried[k] == width[k]:
             tried[k] = 0
+            if mirror[k] and len(leaves) > start[k]:
+                leaves.append(_mirror(leaves[start[k]:], points[k:k + 3], k, flip))
+                if _emit(out, *leaves[-1], near, opts.eps, cap):
+                    break
             v -= 1
             continue
+        if not tried[k]:
+            start[k] = len(leaves)
         motors[v] = compose_motors(motors[v - 1], steps[k, tried[k]])
         tried[k] += 1
         points[v - 1] = motor_origin(motors[v])

@@ -16,12 +16,12 @@ from cgabp import ga
 from cgabp.bench import bench_compose, bench_placement
 from cgabp.conformal import (build_placement_step, compute_next_points,
                              embed_point, extract_point)
-from cgabp.dmdgp import generate_instance
+from cgabp.dmdgp import generate_instance, internal_coordinates
 from cgabp.ga import (DIM, E1, E2, E3, EM, EP, NI, NO, Multivector,
                       geometric_product as gp, scalar, scalar_product as sp)
 from cgabp.geometry import (bond_angle, dihedral_angle, matrix_place_next,
                             trilaterate, verify_realization)
-from cgabp.solver import BranchPath, SolveOptions, expand_by_symmetry, solve
+from cgabp.solver import SolveOptions, initialize_first_three, solve
 
 from conftest import angle_gap, radii_from_internal, random_placement_case
 
@@ -152,23 +152,37 @@ def test_criterion_6_full_information_rigidity():
 
 
 def test_criterion_7_symmetric_bp_equivalence():
+    # brute force: every sign vector placed by the torsion-matrix chain from
+    # the anchor, kept when it meets every edge within eps.  BP walks only
+    # the + child at symmetry vertices and mirrors the rest; it must return
+    # the same paths, in the same (+ before -) order, at the same points.
     start = time.perf_counter()
+    eps = 1e-4
     ok = True
     detail = []
-    for n in (5, 6, 7, 8):
-        inst, _ = generate_instance(n, 50 + n, 0.0)
-        full = solve(inst, SolveOptions(mode="all"))
-        base = full[0]
-        targets = [BranchPath(s) for s in itertools.product((1, -1), repeat=n - 3)]
-        expanded = expand_by_symmetry(base, targets, inst)
-        same_count = len(expanded) == len(full) == 2 ** (n - 3)
-        by_path = {p.signs: r for r, p in full}
-        worst = max(float(np.max(np.abs(r - by_path[t.signs])))
-                    for t, r in zip(targets, expanded)) if same_count else math.inf
-        ok &= same_count and worst <= 1e-8
-        detail.append(f"n={n}: {len(expanded)} reconstructed, worst {worst:.1e}")
+    for n in range(5, 11):
+        for f in (0.0, 0.15, 0.3):
+            inst, _ = generate_instance(n, 50 + n, f)
+            coords = internal_coordinates(inst)
+            omega = np.arccos(coords.dihedral_cos)
+            brute = []
+            for signs in itertools.product((1, -1), repeat=n - 3):
+                pts = list(initialize_first_three(coords))
+                for k, sign in enumerate(signs):
+                    pts.append(matrix_place_next(pts[-3], pts[-2], pts[-1],
+                                                 coords.bond_angles[k + 1], sign * omega[k],
+                                                 coords.bond_lengths[k + 2])[0])
+                if verify_realization(inst, np.array(pts), eps)[0] <= eps:
+                    brute.append((signs, np.array(pts)))
+            full = solve(inst, SolveOptions(eps=eps, mode="all"))
+            same = [s for s, _ in brute] == [p.signs for _, p in full]
+            worst = max(float(np.max(np.abs(r - q))) for (_, r), (q, _) in zip(brute, full)) \
+                if same else math.inf
+            ok &= same and worst <= 1e-8
+            detail.append(f"n={n} f={f}: {len(full)}/{len(brute)} worst {worst:.1e}")
     elapsed = time.perf_counter() - start
-    report(7, ok, "; ".join(detail) + f", {elapsed:.2f}s")
+    report(7, ok, "BP vs brute force over all sign vectors: " + "; ".join(detail)
+                  + f", {elapsed:.2f}s")
 
 
 def test_criterion_8_ground_truth_recovery():

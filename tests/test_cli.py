@@ -1,6 +1,10 @@
 """End-to-end command-line tests through cli.run."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 from cgabp.cli import run
 from cgabp.dmdgp import Instance, format_instance, generate_instance, parse_points
@@ -146,3 +150,14 @@ def test_bench_subcommand(capsys):
 def test_usage_error_exit_code(capsys):
     assert run([]) == 2
     assert run(["frobnicate"]) == 2
+
+
+def test_module_entry_point_runs_the_parser(tmp_path):
+    # python -m cgabp.cli reaches the same parser as the console script
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-m", "cgabp.cli", "solve", str(tmp_path / "x.txt"),
+                           "--eps", "-1"], env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "positive finite" in proc.stderr

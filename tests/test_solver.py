@@ -1,12 +1,13 @@
 """Branch & Prune solver tests: anchoring, pruning, enumeration counts,
-suffix reflections and symmetry expansion."""
+symmetry vertices and their mirrored subtrees, suffix reflections and
+symmetry expansion."""
 
 import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cgabp.dmdgp import (Instance, format_points, generate_instance, ingest_coordinates,
@@ -16,7 +17,7 @@ from cgabp.geometry import bond_angle, matrix_place_next, verify_realization
 from cgabp import solver
 from cgabp.solver import (BranchPath, SolveOptions, expand_by_symmetry,
                           initialize_first_three, prune_check, reflect_suffix,
-                          solve)
+                          solve, symmetry_vertices)
 
 
 def all_paths(length):
@@ -358,6 +359,59 @@ def test_solutions_are_closed_under_mirroring(n, seed, extra, ingest):
     for r in sols:
         mirror = r * np.array([1.0, 1.0, -1.0])
         assert min(np.max(np.abs(mirror - q)) for q in sols) <= eps
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(4, 40), seed=st.integers(0, 2**16), extra=st.floats(0.0, 0.3),
+       ingest=st.booleans())
+@example(n=200, seed=0, extra=0.0, ingest=True)
+def test_symmetry_vertices_match_their_definition(n, seed, extra, ingest):
+    # v >= 4 is a symmetry vertex when no edge (u, w) has u + 3 < v <= w
+    inst, truth = generate_instance(n, seed, extra)
+    if ingest:
+        inst = ingest_coordinates(format_points(truth), cutoff=5.0)
+    expected = [v for v in range(4, n + 1) if not any(u + 3 < v <= w for u, w, _ in inst.edges)]
+    assert (np.flatnonzero(symmetry_vertices(inst)) + 4).tolist() == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(5, 14), seed=st.integers(0, 2**16), extra=st.floats(0.0, 0.3))
+@example(n=13, seed=20, extra=0.15)
+def test_exact_instance_has_two_to_the_symmetry_count_solutions(n, seed, extra):
+    # exact distances: every solution is the truth reflected at some subset
+    # of the symmetry vertices.  In the fixed case vertex 2 lies 8e-4 A off
+    # the plane of vertices 10..12, so at eps 1e-4 the mirror of vertex 13
+    # passes too (8 solutions); at this eps it does not (4).
+    inst, _ = generate_instance(n, seed, extra)
+    eps = 1e-6
+    coords = internal_coordinates(inst)
+    theta, d = coords.bond_angles[1:], coords.bond_lengths[2:]
+    sin_omega = np.sqrt(1.0 - coords.dihedral_cos ** 2)
+    assume(np.all(2.0 * d * np.sin(theta) * sin_omega > eps))   # no near-coincident vertex
+    sols = solve(inst, SolveOptions(eps=eps))
+    assert len(sols) == 2 ** int(symmetry_vertices(inst).sum())
+
+
+def test_capped_solves_are_prefixes_of_the_full_list():
+    # the first leaf is walked and later ones mostly mirrored: on the
+    # unpruned n = 7 chain every k > 1 stops inside a mirrored block.
+    # On the last chain, vertices 4 and 6 are near-coincident: the blocks
+    # mirrored at 4 and 6 are dropped whole by the merge, and vertex 5's
+    # block keeps 2 of its 4 leaves, so the cap counts merged solutions.
+    near = ingest_coordinates(format_points(chain_points((1e-6, 1.0, math.pi - 1e-6, -0.5))),
+                              cutoff=0)
+    cases = [generate_instance(7, 3, 0.0)[0], generate_instance(10, 19, 0.15)[0],
+             generate_instance(13, 20, 0.15)[0], near]
+    for inst in cases:
+        full = solve(inst, SolveOptions(mode="all"))
+        assert len(full) > 2
+        for k in range(1, len(full) + 1):
+            got = solve(inst, SolveOptions(max_solutions=k))
+            assert [p for _, p in got] == [p for _, p in full[:k]]
+            assert all(np.array_equal(r, q) for (r, _), (q, _) in zip(got, full))
+        (r, path), = solve(inst, SolveOptions(mode="first"))
+        assert path == full[0][1] and np.array_equal(r, full[0][0])
+    assert [str(p) for _, p in solve(near, SolveOptions())] == ["++++", "+++-", "+-++", "+-+-"]
 
 
 def test_branch_path_round_trip():
