@@ -57,9 +57,9 @@ class BranchPath:
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Search settings.  ``use_symmetry`` has no effect: the search is the
-    same with or without it.  It is kept so that callers which still pass
-    it keep working."""
+    """Search settings.  ``use_symmetry`` has no effect: the search always
+    mirrors the - subtree of a symmetry vertex.  It is kept so that callers
+    which still pass it keep working."""
 
     eps: float = 1e-4                 # largest distance error on any edge, angstroms
     mode: str = "all"                 # "all" | "first"
