@@ -5,8 +5,10 @@ same branch path replayed through the torsion-matrix chain
 (``geometry.matrix_place_next`` from the solver's anchor).  It also
 checks mirror closure: vertex 4 is always a symmetry vertex, so the image
 of every realization under z -> -z (the anchor plane) must lie within eps
-of a returned realization.  Exits 1 if any instance's gap exceeds the
-tolerance or any mirror image is missing."""
+of a returned realization.  Every instance must also come back unchanged,
+with the same validation report, from a trip through ``format_instance``
+and ``parse_instance``.  Exits 1 if any instance's gap exceeds the tolerance,
+any mirror image is missing or any round trip differs."""
 
 import argparse
 import math
@@ -14,7 +16,8 @@ import time
 
 import numpy as np
 
-from cgabp.dmdgp import generate_instance, internal_coordinates
+from cgabp.dmdgp import (format_instance, generate_instance, internal_coordinates,
+                         parse_instance, validate_instance)
 from cgabp.geometry import matrix_place_next, verify_realization
 from cgabp.solver import SolveOptions, initialize_first_three, solve
 
@@ -39,11 +42,13 @@ def main():
     args = ap.parse_args()
 
     print(f"{'n':>5} {'edges':>6} {'solutions':>10} {'worst viol':>12} "
-          f"{'truth err':>11} {'time [s]':>9} {'oracle gap':>11} {'mirror':>7}")
+          f"{'truth err':>11} {'time [s]':>9} {'oracle gap':>11} {'mirror':>7} {'text':>5}")
     opts = SolveOptions(mode="all")
-    mismatches = unmirrored = 0
+    mismatches = unmirrored = garbled = 0
     for n in args.sizes:
         inst, truth = generate_instance(n, args.seed + n, args.extra_edges)
+        again = parse_instance(format_instance(inst))
+        same = again == inst and validate_instance(again) == validate_instance(inst)
         t0 = time.perf_counter()
         sols = solve(inst, opts)
         dt = time.perf_counter() - t0
@@ -58,12 +63,15 @@ def main():
                      <= opts.eps for r, _ in sols)
         mismatches += gap > GAP_TOL
         unmirrored += not closed
+        garbled += not same
         print(f"{n:>5} {len(inst.edges):>6} {len(sols):>10} {worst:>12.3e} "
-              f"{best:>11.3e} {dt:>9.3f} {gap:>11.1e} {'ok' if closed else 'MISS':>7}")
+              f"{best:>11.3e} {dt:>9.3f} {gap:>11.1e} {'ok' if closed else 'MISS':>7} "
+              f"{'ok' if same else 'DIFF':>5}")
     print(f"\nmatrix oracle: {mismatches} of {len(args.sizes)} instances differ "
           f"by more than {GAP_TOL:g}")
     print(f"mirror closure: {unmirrored} of {len(args.sizes)} instances miss a mirror image")
-    return 1 if mismatches or unmirrored else 0
+    print(f"text round trip: {garbled} of {len(args.sizes)} instances differ")
+    return 1 if mismatches or unmirrored or garbled else 0
 
 
 if __name__ == "__main__":

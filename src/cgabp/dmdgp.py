@@ -2,10 +2,18 @@
 discretizability validation, internal-coordinate extraction, synthetic
 instance generation and coordinate-file ingestion.
 
+An ``Instance`` holds its edges as arrays, indexed once when it is made:
+the pruning edges (v - u >= 4) as CSR rows by v, and d(i-1, i), d(i-2, i)
+and d(i-3, i) gathered into one (n, 3) array, which validation and the
+internal coordinates both read.  Its checks sort the edges once, by the
+key u (n + 1) + v, to find repeats.  A file's edge lines are read by one
+``np.loadtxt`` call.  So set-up runs a fixed handful of NumPy calls and
+no Python loop over edges or vertices.
+
 File formats owned by this module (text, UTF-8, '#' starts a comment):
 
 * instance file: first data line ``n m``, then m lines ``u v d`` with
-  1-based ``u < v`` and a positive decimal distance;
+  1-based ``u < v`` and a positive finite decimal distance;
 * coordinate file: lines ``i x y z`` with contiguous 1-based indices;
 * realization file: lines ``i x y z`` written with full float precision.
 """
@@ -23,50 +31,119 @@ from .geometry import matrix_place_next
 GENERATOR_BOND_LENGTH = 1.526   # angstroms, conventional backbone value
 GENERATOR_BOND_ANGLE = 1.91     # radians
 
+_EDGE_ROW = np.dtype([("u", np.int64), ("v", np.int64), ("d", float)])
+
 
 @dataclass(frozen=True)
 class Instance:
-    """Weighted graph over totally ordered vertices 1..n with exact distances."""
+    """Weighted graph over totally ordered vertices 1..n with exact distances.
+
+    ``edges`` is the tuple of (u, v, d) in input order.  Behind it the
+    instance keeps the clique distances of ``clique_distances``, gathered
+    in one scatter, and the pruning edges (v - u >= 4) as CSR rows by v,
+    input order within a row, which ``pruning_edges`` slices; ``distance``
+    reads both.  The checks are vectorized, with one sort by the key
+    u (n + 1) + v to find repeats: every edge must satisfy
+    1 <= u < v <= n, appear once and have a positive finite distance, and
+    the first edge in input order that does not raises ValueError.
+    """
 
     n: int
     edges: tuple[tuple[int, int, float], ...]
-    _dist: dict = field(init=False, repr=False, compare=False)
-    _pruning: tuple = field(init=False, repr=False, compare=False)
+    _clique: np.ndarray = field(init=False, repr=False, compare=False)
+    _rows: list = field(init=False, repr=False, compare=False)
+    _far: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"vertex count must be positive, got {self.n}")
-        dist: dict[tuple[int, int], float] = {}
-        far: list[list[tuple[int, float]]] = [[] for _ in range(self.n + 1)]
-        norm = []
-        for u, v, d in self.edges:
-            if not (1 <= u < v <= self.n):
-                raise ValueError(f"edge ({u},{v}) violates 1 <= u < v <= n")
-            if (u, v) in dist:
-                raise ValueError(f"duplicate edge ({u},{v})")
-            d = float(d)
-            if d <= 0.0:
-                raise ValueError(f"edge ({u},{v}) has non-positive distance {d}")
-            dist[(u, v)] = d
-            if v - u >= 4:
-                far[v].append((u - 1, d))
-            norm.append((u, v, d))
-        none = (np.empty(0, dtype=np.intp), np.empty(0))
-        pruning = tuple((np.array([u for u, _ in e], dtype=np.intp), np.array([d for _, d in e]))
-                        if e else none for e in far)
-        object.__setattr__(self, "edges", tuple(norm))
-        object.__setattr__(self, "_dist", dist)
-        object.__setattr__(self, "_pruning", pruning)
+        if self.edges:
+            u, v, d = (np.array(col) for col in zip(*self.edges))
+            if u.dtype.kind not in "iu" or v.dtype.kind not in "iu":
+                raise ValueError("edge endpoints must be integers")
+            u, v, d = u.astype(np.int64), v.astype(np.int64), d.astype(float)
+        else:
+            u = v = np.empty(0, dtype=np.int64)
+            d = np.empty(0)
+        self._index(u, v, d)
+
+    @classmethod
+    def _from_arrays(cls, n: int, u: np.ndarray, v: np.ndarray, d: np.ndarray) -> "Instance":
+        """The instance with edges (u[k], v[k], d[k]), from integer and float
+        arrays, without going through Python tuples on the way in."""
+        inst = cls.__new__(cls)
+        object.__setattr__(inst, "n", n)
+        inst._index(u, v, d)
+        return inst
+
+    def _index(self, u, v, d):
+        n = self.n
+        if n < 1:
+            raise ValueError(f"vertex count must be positive, got {n}")
+        gap = v - u
+        keys = u * (n + 1) + v
+        keys.sort()
+        if (((u < 1) | (gap < 1) | (v > n) | ~((d > 0.0) & (d < math.inf))).any()
+                or (keys[1:] == keys[:-1]).any()):
+            raise ValueError(_first_bad_edge(n, u, v, d))
+        near = gap <= 3
+        clique = np.empty(3 * n)
+        clique.fill(np.nan)
+        clique[(3 * v + gap - 4)[near]] = d[near]   # entry 3 (v - 1) + gap - 1 is d(v - gap, v)
+        clique = clique.reshape(n, 3)
+        clique.flags.writeable = False
+        far = (~near).nonzero()[0]
+        far = far[v[far].argsort(kind="stable")]
+        far_v = v[far]
+        for name, value in (
+                ("edges", tuple(zip(u.tolist(), v.tolist(), d.tolist()))),
+                ("_clique", clique),
+                ("_rows", [0] + np.bincount(far_v, minlength=n + 1).cumsum().tolist()),
+                ("_far", (u[far] - 1, far_v, d[far]))):
+            object.__setattr__(self, name, value)
 
     def distance(self, u: int, v: int) -> float | None:
         if u > v:
             u, v = v, u
-        return self._dist.get((u, v))
+        if not 1 <= u < v <= self.n:
+            return None
+        if v - u <= 3:
+            d = float(self._clique[v - 1, v - u - 1])
+            return None if math.isnan(d) else d
+        far_u, d = self.pruning_edges(v)
+        hit = (far_u == u - 1).nonzero()[0]
+        return float(d[hit[0]]) if hit.size else None
 
     def pruning_edges(self, v: int) -> tuple[np.ndarray, np.ndarray]:
         """The edges (u, v) with v - u >= 4, the only ones that can prune a
-        placement of v, as arrays of 0-based u and of d."""
-        return self._pruning[v]
+        placement of v, as arrays of 0-based u and of d, in input order."""
+        lo, hi = self._rows[v], self._rows[v + 1]
+        u, _, d = self._far
+        return u[lo:hi], d[lo:hi]
+
+    def pruning_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every pruning edge, as arrays of 0-based u, of v and of d ordered
+        by v (input order within one v): the rows ``pruning_edges`` slices."""
+        return self._far
+
+    def clique_distances(self) -> np.ndarray:
+        """Read-only (n, 3) array: row i - 1 holds d(i-1, i), d(i-2, i) and
+        d(i-3, i), NaN where that edge is missing or i - k < 1."""
+        return self._clique
+
+
+def _first_bad_edge(n, u, v, d) -> str:
+    """Why the first edge, in input order, that is out of range, repeats
+    an earlier edge or has no positive finite distance is rejected."""
+    key = u * (n + 1) + v
+    repeat = np.ones(len(key), dtype=bool)
+    repeat[np.unique(key, return_index=True)[1]] = False   # all but each key's first edge
+    outside = (u < 1) | (u >= v) | (v > n)
+    k = int((outside | repeat | ~((d > 0.0) & (d < math.inf))).argmax())
+    edge, dk = f"edge ({u[k]},{v[k]})", float(d[k])
+    if outside[k]:
+        return f"{edge} violates 1 <= u < v <= n"
+    if repeat[k]:
+        return f"duplicate {edge}"
+    return f"{edge} has {'non-positive' if dk <= 0.0 else 'non-finite'} distance {dk}"
 
 
 @dataclass(frozen=True)
@@ -100,23 +177,17 @@ def validate_instance(inst: Instance) -> ValidationReport:
 
     Reports every missing edge among pairs at chain distance <= 3 and every
     v in 1..n-2 whose consecutive triangle fails the *strict* inequality
-    d(v, v+2) < d(v, v+1) + d(v+1, v+2).
+    d(v, v+2) < d(v, v+1) + d(v+1, v+2); a triangle with a missing edge is
+    reported as missing only.  Both read ``inst.clique_distances()``.
     """
-    missing = []
-    for u in range(1, inst.n + 1):
-        for v in range(u + 1, min(u + 3, inst.n) + 1):
-            if inst.distance(u, v) is None:
-                missing.append((u, v))
-    violations = []
-    for v in range(1, inst.n - 1):
-        d02 = inst.distance(v, v + 2)
-        d01 = inst.distance(v, v + 1)
-        d12 = inst.distance(v + 1, v + 2)
-        if None in (d02, d01, d12):
-            continue  # already reported as missing
-        if d02 >= d01 + d12:
-            violations.append(v)
-    return ValidationReport(not missing and not violations, tuple(missing), tuple(violations))
+    dist = inst.clique_distances()
+    row, col = np.isnan(dist).nonzero()   # row i - 1, column k - 1 of d(i-k, i)
+    missing = tuple(sorted((i - k, i) for i, k in zip((row + 1).tolist(), (col + 1).tolist())
+                           if i > k))
+    # NaN compares False, so a triangle with a missing edge is skipped
+    violations = (dist[2:, 1] >= dist[1:-1, 0] + dist[2:, 0]).nonzero()[0] + 1
+    return ValidationReport(not missing and not violations.size, missing,
+                            tuple(violations.tolist()))
 
 
 def internal_coordinates(inst: Instance) -> InternalCoords:
@@ -132,24 +203,24 @@ def internal_coordinates(inst: Instance) -> InternalCoords:
     with |cos(theta)| >= 1 is collinear or worse, fixes no torsion frame,
     and raises InfeasibleInstanceError.
     """
-    n, dist = inst.n, inst.distance
-    d1, d2, d3 = (np.array([dist(i - k, i) for i in range(k + 1, n + 1)]) for k in (1, 2, 3))
+    dist = inst.clique_distances()
+    d1, d2, d3 = dist[1:, 0], dist[2:, 1], dist[3:, 2]
     sq1, sq2, sq3 = d1 * d1, d2 * d2, d3 * d3
     dots = 0.5 * (sq2 - sq1[:-1] - sq1[1:])          # b_k . b_(k+1)
     cos_theta = -dots / (d1[:-1] * d1[1:])
-    bad = np.flatnonzero(np.abs(cos_theta) >= 1.0) + 1
-    if bad.size:
-        triangle = tuple(range(bad[0], bad[0] + 3))
-        raise InfeasibleInstanceError(f"triangle {triangle} admits no embedding")
+    flat = np.abs(cos_theta) >= 1.0
+    if flat.any():
+        v = int(flat.argmax()) + 1
+        raise InfeasibleInstanceError(f"triangle {(v, v + 1, v + 2)} admits no embedding")
     cross2 = sq1[:-1] * sq1[1:] * (1.0 - cos_theta) * (1.0 + cos_theta)  # |b_k x b_(k+1)|^2
     g11, g22, g33, g12, g23 = sq1[:-2], sq1[1:-1], sq1[2:], dots[:-1], dots[1:]
     g13 = 0.5 * (sq3 - g11 - g22 - g33) - g12 - g23
     norms = np.sqrt(cross2[:-1] * cross2[1:])        # |n1| |n2|
     raw = (g12 * g23 - g13 * g22) / norms
-    cosines = np.clip(raw, -1.0, 1.0)
+    cosines = np.minimum(np.maximum(raw, -1.0), 1.0)   # np.clip, without its wrapper's cost
     # d(i-3, i)^2 = g11 + g22 + g33 + 2 (g12 + g23 + b1.b3), b1.b3 = (g12 g23 - n1.n2) / g22
     placed = np.sqrt(np.maximum(sq3 + 2.0 * norms * (raw - cosines) / g22, 0.0))
-    return InternalCoords(n, d1, np.arccos(cos_theta), cosines, np.abs(placed - d3))
+    return InternalCoords(inst.n, d1, np.arccos(cos_theta), cosines, np.abs(placed - d3))
 
 
 def generate_instance(n: int, seed: int, extra_edge_fraction: float = 0.0):
@@ -193,46 +264,71 @@ def generate_instance(n: int, seed: int, extra_edge_fraction: float = 0.0):
 # -- text formats -------------------------------------------------------------
 
 
-def _data_lines(text: str):
-    for no, raw in enumerate(text.splitlines(), start=1):
+def _data_lines(lines, first_no: int = 1):
+    """(line number, content) of each line that is not blank once its
+    comment is cut off."""
+    for no, raw in enumerate(lines, start=first_no):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield no, line
 
 
 def parse_instance(text: str) -> Instance:
-    lines = _data_lines(text)
-    try:
-        no, head = next(lines)
-    except StopIteration:
-        raise FileFormatError(1, "empty instance file") from None
-    parts = head.split()
+    """Instance from the text of an instance file.
+
+    The header is read in Python and the edge lines in one ``np.loadtxt``
+    call.  Only when that call, the edge count or the instance's checks
+    reject the body does a line-by-line scan run, to raise FileFormatError
+    at the first bad line.
+    """
+    lines = text.splitlines()
+    head = next(_data_lines(lines), None)
+    if head is None:
+        raise FileFormatError(1, "empty instance file")
+    no, line = head
+    parts = line.split()
     if len(parts) != 2:
-        raise FileFormatError(no, f"expected 'n m', got {head!r}")
+        raise FileFormatError(no, f"expected 'n m', got {line!r}")
     try:
         n, m = int(parts[0]), int(parts[1])
     except ValueError:
-        raise FileFormatError(no, f"expected integers 'n m', got {head!r}") from None
-    edges = []
-    for no, line in lines:
-        parts = line.split()
-        if len(parts) != 3:
+        raise FileFormatError(no, f"expected integers 'n m', got {line!r}") from None
+    body = lines[no:]
+    try:
+        # a last row of its own keeps loadtxt from warning about a body with no data
+        rows = np.loadtxt(body + ["1 2 1"], dtype=_EDGE_ROW, comments="#", ndmin=1)[:-1]
+        if len(rows) == m:
+            return Instance._from_arrays(n, rows["u"], rows["v"], rows["d"])
+        problem = f"header promises {m} edges, found {len(rows)}"
+    except ValueError as exc:
+        problem = str(exc)
+    _raise_at_bad_line(body, no + 1, n, m)
+    raise FileFormatError(no, problem)
+
+
+def _raise_at_bad_line(body, first_no: int, n: int, m: int):
+    """Raise FileFormatError at the first edge line of ``body`` (numbered
+    from ``first_no``) that is malformed, out of range, not a positive
+    finite distance or a repeat, or at the last one if the count is not m."""
+    seen = set()
+    for no, line in _data_lines(body, first_no):
+        if len(line.split()) != 3:
             raise FileFormatError(no, f"expected 'u v d', got {line!r}")
         try:
-            u, v, d = int(parts[0]), int(parts[1]), float(parts[2])
+            (u, v, d), = np.loadtxt([line], dtype=_EDGE_ROW, ndmin=1).tolist()
         except ValueError:
             raise FileFormatError(no, f"malformed edge line {line!r}") from None
         if not (1 <= u < v <= n):
             raise FileFormatError(no, f"edge ({u},{v}) out of range for n={n}")
-        if d <= 0:
+        if not d < math.inf:
+            raise FileFormatError(no, f"non-finite distance {d}")
+        if not d > 0:
             raise FileFormatError(no, f"non-positive distance {d}")
-        edges.append((u, v, d))
-    if len(edges) != m:
-        raise FileFormatError(no if edges else 1, f"header promises {m} edges, found {len(edges)}")
-    try:
-        return Instance(n, tuple(edges))
-    except ValueError as exc:
-        raise FileFormatError(1, str(exc)) from None
+        if (u, v) in seen:
+            raise FileFormatError(no, f"duplicate edge ({u},{v})")
+        seen.add((u, v))
+    if len(seen) != m:
+        raise FileFormatError(no if seen else 1, f"header promises {m} edges, found {len(seen)}")
 
 
 def format_instance(inst: Instance) -> str:
@@ -245,7 +341,7 @@ def parse_points(text: str) -> np.ndarray:
     """Read ``i x y z`` lines with contiguous 1-based indices."""
     rows = {}
     last_no = 1
-    for no, line in _data_lines(text):
+    for no, line in _data_lines(text.splitlines()):
         last_no = no
         parts = line.split()
         if len(parts) != 4:

@@ -103,17 +103,15 @@ def symmetry_vertices(inst: Instance) -> np.ndarray:
     """Mask over vertices 4..n (entry k is vertex k + 4) of the symmetry
     vertices: those v that no edge (u, w) spans with u + 3 < v <= w.
 
-    One difference array over [u + 4, w] for every pruning edge.  At such
-    a vertex every edge from the prefix into the suffix starts on the
-    plane of v-3..v-1, so reflecting the suffix through that plane keeps
-    every distance.
+    A difference array over [u + 4, w] for every pruning edge, from two
+    bincounts.  At such a vertex every edge from the prefix into the suffix
+    starts on the plane of v-3..v-1, so reflecting the suffix through that
+    plane keeps every distance.
     """
-    cover = [0] * (inst.n + 2)
-    for u, w, _ in inst.edges:
-        if w - u >= 4:
-            cover[u + 4] += 1
-            cover[w + 1] -= 1
-    return np.cumsum(cover)[4:inst.n + 1] == 0
+    u0, w, _ = inst.pruning_arrays()
+    size = inst.n + 2
+    cover = np.bincount(u0 + 5, minlength=size) - np.bincount(w + 1, minlength=size)
+    return cover.cumsum()[4:inst.n + 1] == 0
 
 
 def _mirror(blocks, plane: np.ndarray, k: int, flip: np.ndarray):
@@ -133,19 +131,24 @@ def _mirror(blocks, plane: np.ndarray, k: int, flip: np.ndarray):
     return pts, signs
 
 
-def _emit(out: list, pts: np.ndarray, signs: np.ndarray, near: np.ndarray, eps: float,
+def _emit(out: list, seen: set, pts: np.ndarray, signs: np.ndarray, near: np.ndarray,
           cap: int | None) -> bool:
     """Append leaves to ``out`` in order; True once it holds ``cap`` of them.
-    A leaf that takes the - child at a near-coincident vertex is appended
-    only if no realization in ``out`` lies within ``eps`` of it."""
-    paths = list(map(BranchPath, map(tuple, signs.tolist())))
-    merged = (signs[:, near] < 0).any(axis=1).tolist()
-    for r, path, dup in zip(pts, paths, merged):
-        if not (dup and any(np.max(np.abs(r - q)) <= eps for q, _ in out)):
-            out.append((r, path))
-            if len(out) == cap:
-                return True
-    return False
+    A leaf is keyed by its signs with those at near-coincident vertices set
+    to +, and dropped if ``seen`` already holds its key, that is, if it
+    differs from a leaf returned before only at near-coincident vertices."""
+    if near.size:
+        keys = signs.copy()
+        keys[:, near] = 1
+        new = []
+        for k, key in enumerate(map(bytes, keys)):
+            if key not in seen:
+                seen.add(key)
+                new.append(k)
+        pts, signs = pts[new], signs[new]
+    room = len(pts) if cap is None else cap - len(out)
+    out.extend(zip(pts[:room], map(BranchPath, map(tuple, signs[:room].tolist()))))
+    return len(out) == cap
 
 
 def solve(inst: Instance, opts: SolveOptions = SolveOptions()):
@@ -161,9 +164,12 @@ def solve(inst: Instance, opts: SolveOptions = SolveOptions()):
     A vertex whose two placements lie within ``eps`` of each other
     (2 d sin(theta) |sin(omega)| <= eps) is near-coincident.  At a torsion
     of 0 or pi up to rounding only its + child is walked.  Otherwise both
-    are, but a leaf taking the - child there is returned only if no
-    returned realization lies within ``eps`` of it (largest coordinate
-    difference), so it does not double the solutions.
+    are, and the leaves are merged by path: a leaf whose branch path, with
+    the signs at near-coincident vertices set to +, equals that of a leaf
+    returned before it is dropped.  Its + twin comes first, since every
+    walk and every mirrored block visits + before - under a shared prefix.
+    So k such vertices divide the solutions by 2^k, whatever their distance
+    from the anchor, and the merge costs one set lookup per leaf.
 
     At a symmetry vertex v (see ``symmetry_vertices``) only the + child
     is walked.  When the search backtracks out of v, the leaves reached
@@ -211,6 +217,7 @@ def solve(inst: Instance, opts: SolveOptions = SolveOptions()):
                                step_motor(coords.bond_angles[0], math.pi, coords.bond_lengths[1]))
     cap = 1 if opts.mode == "first" else opts.max_solutions
     out: list = []
+    seen: set = set()         # merge keys of the leaves returned so far, see _emit
     leaves: list = []         # (points, signs) blocks of every leaf reached, before the merge
     tried = [0] * (n - 3)     # children of vertex k + 4 walked so far on the current path
     start = [0] * (n - 3)     # len(leaves) when vertex k + 4's first child was walked
@@ -219,7 +226,7 @@ def solve(inst: Instance, opts: SolveOptions = SolveOptions()):
         if v > n:
             leaves.append((points[None].copy(), np.array([[1 if t == 1 else -1 for t in tried]],
                                                          dtype=np.int8)))
-            if _emit(out, *leaves[-1], near, opts.eps, cap):
+            if _emit(out, seen, *leaves[-1], near, cap):
                 break
             v -= 1
             continue
@@ -228,7 +235,7 @@ def solve(inst: Instance, opts: SolveOptions = SolveOptions()):
             tried[k] = 0
             if mirror[k] and len(leaves) > start[k]:
                 leaves.append(_mirror(leaves[start[k]:], points[k:k + 3], k, flip))
-                if _emit(out, *leaves[-1], near, opts.eps, cap):
+                if _emit(out, seen, *leaves[-1], near, cap):
                     break
             v -= 1
             continue

@@ -2,6 +2,7 @@
 ingestion and the text formats."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cgabp.dmdgp import (GENERATOR_BOND_ANGLE, GENERATOR_BOND_LENGTH, Instance,
-                         format_instance, format_points, generate_instance,
-                         ingest_coordinates, internal_coordinates,
+                         InternalCoords, ValidationReport, format_instance, format_points,
+                         generate_instance, ingest_coordinates, internal_coordinates,
                          parse_instance, parse_points, validate_instance)
-from cgabp.errors import FileFormatError
+from cgabp.errors import FileFormatError, InfeasibleInstanceError
 from cgabp.geometry import bond_angle, dihedral_angle, matrix_place_next, verify_realization
 from cgabp.solver import SolveOptions, initialize_first_three, solve
 
@@ -37,6 +38,29 @@ class TestInstance:
             Instance(4, ((1, 2, 1.0), (1, 2, 1.0)))
         with pytest.raises(ValueError, match="non-positive"):
             Instance(4, ((1, 2, 0.0),))
+        for d in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                Instance(4, ((1, 2, d),))
+        with pytest.raises(ValueError, match="integers"):
+            Instance(4, ((1.0, 2, 1.0),))
+
+    def test_first_bad_edge_in_input_order_is_reported(self):
+        cases = [(((1, 3, 1.0), (2, 3, -1.0), (1, 3, 1.0), (1, 9, 1.0)),
+                  "edge (2,3) has non-positive distance -1.0"),
+                 (((1, 3, 1.0), (1, 3, math.nan), (5, 2, 1.0)), "duplicate edge (1,3)"),
+                 (((0, 6, 1.0), (1, 1, 1.0)), "edge (0,6) violates"),
+                 (((1, 2, 1.0), (2, 4, math.inf), (2, 4, 1.0)), "edge (2,4) has non-finite")]
+        for edges, message in cases:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                Instance(4, edges)
+
+    def test_edges_keep_input_order_and_types(self):
+        edges = ((2, 3, 1.5), (1, 2, 1), (1, 4, 2.0))
+        inst = Instance(4, edges)
+        assert inst.edges == ((2, 3, 1.5), (1, 2, 1.0), (1, 4, 2.0))
+        assert all(type(u) is int and type(v) is int and type(d) is float
+                   for u, v, d in inst.edges)
+        assert Instance(4, ()).edges == ()
 
     def test_lookups(self):
         inst = Instance(6, ((1, 2, 1.0), (2, 3, 2.0), (1, 5, 3.0), (2, 6, 4.0), (1, 6, 5.0)))
@@ -49,6 +73,16 @@ class TestInstance:
         assert u.tolist() == [0] and d.tolist() == [3.0]
         for v in (1, 2, 3, 4):
             assert inst.pruning_edges(v)[0].size == 0 and inst.pruning_edges(v)[1].size == 0
+        assert [inst.distance(u, v) for u, v in ((1, 5), (5, 1), (3, 6), (0, 1), (2, 7))] == \
+            [3.0, 3.0, None, None, None]
+
+    def test_clique_distances(self):
+        inst = Instance(5, ((1, 2, 1.0), (3, 5, 2.0), (2, 5, 3.0), (1, 5, 4.0)))
+        dist = inst.clique_distances()
+        nan = math.nan
+        np.testing.assert_array_equal(dist, [[nan, nan, nan], [1.0, nan, nan], [nan, nan, nan],
+                                             [nan, nan, nan], [nan, 2.0, 3.0]])
+        assert not dist.flags.writeable
 
 
 class TestValidate:
@@ -142,6 +176,94 @@ def test_closed_form_matches_coordinate_oracles(internal, shift):
         assert abs(coords.dihedral_cos[i - 4] - oracle) <= 1e-9
 
 
+def reference_validate(inst):
+    """validate_instance by per-pair lookups in a dict of the edges."""
+    dist = {(u, v): d for u, v, d in inst.edges}
+    missing = [(u, v) for u in range(1, inst.n + 1)
+               for v in range(u + 1, min(u + 3, inst.n) + 1) if (u, v) not in dist]
+    violations = []
+    for v in range(1, inst.n - 1):
+        d02, d01, d12 = dist.get((v, v + 2)), dist.get((v, v + 1)), dist.get((v + 1, v + 2))
+        if None not in (d02, d01, d12) and d02 >= d01 + d12:
+            violations.append(v)
+    return ValidationReport(not missing and not violations, tuple(missing), tuple(violations))
+
+
+def reference_internal_coordinates(inst):
+    """internal_coordinates with d(i-k, i) looked up one pair at a time in a
+    dict of the edges, and the same closed form."""
+    n, dist = inst.n, {(u, v): d for u, v, d in inst.edges}
+    d1, d2, d3 = (np.array([dist[(i - k, i)] for i in range(k + 1, n + 1)]) for k in (1, 2, 3))
+    sq1, sq2, sq3 = d1 * d1, d2 * d2, d3 * d3
+    dots = 0.5 * (sq2 - sq1[:-1] - sq1[1:])
+    cos_theta = -dots / (d1[:-1] * d1[1:])
+    bad = np.flatnonzero(np.abs(cos_theta) >= 1.0) + 1
+    if bad.size:
+        triangle = tuple(range(bad[0], bad[0] + 3))
+        raise InfeasibleInstanceError(f"triangle {triangle} admits no embedding")
+    cross2 = sq1[:-1] * sq1[1:] * (1.0 - cos_theta) * (1.0 + cos_theta)
+    g11, g22, g33, g12, g23 = sq1[:-2], sq1[1:-1], sq1[2:], dots[:-1], dots[1:]
+    g13 = 0.5 * (sq3 - g11 - g22 - g33) - g12 - g23
+    norms = np.sqrt(cross2[:-1] * cross2[1:])
+    raw = (g12 * g23 - g13 * g22) / norms
+    cosines = np.clip(raw, -1.0, 1.0)
+    placed = np.sqrt(np.maximum(sq3 + 2.0 * norms * (raw - cosines) / g22, 0.0))
+    return InternalCoords(n, d1, np.arccos(cos_theta), cosines, np.abs(placed - d3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2**16), extra=st.floats(0.0, 0.3),
+       ingest=st.booleans(), drop=st.floats(0.0, 0.2), flatten=st.floats(0.0, 0.2),
+       shuffle=st.booleans())
+def test_array_setup_matches_per_pair_reference(n, seed, extra, ingest, drop, flatten, shuffle):
+    # generated or ingested chains, some clique edges deleted, some
+    # triangles made non-strict (d(v, v+2) = d(v, v+1) + d(v+1, v+2)), in
+    # input order or shuffled
+    if n < 4:
+        inst = Instance(n, tuple((u, v, 1.0) for u in range(1, n + 1) for v in range(u + 1, n + 1)))
+    else:
+        inst, truth = generate_instance(n, seed, extra)
+        if ingest:
+            inst = ingest_coordinates(format_points(truth), cutoff=5.0)
+    rng = np.random.default_rng(seed)
+    dist = {(u, v): d for u, v, d in inst.edges}
+    for v in np.flatnonzero(rng.random(n) < flatten) + 1:
+        if (v, v + 1) in dist and (v + 1, v + 2) in dist and (v, v + 2) in dist:
+            dist[(v, v + 2)] = dist[(v, v + 1)] + dist[(v + 1, v + 2)]
+    edges = [(u, v, d) for (u, v), d in dist.items() if v - u > 3 or rng.random() >= drop]
+    if shuffle:
+        edges = [edges[k] for k in rng.permutation(len(edges))]
+    inst = Instance(n, tuple(edges))
+    report = validate_instance(inst)
+    assert report == reference_validate(inst)
+    if report.missing_clique_edges:
+        return
+    try:
+        expected = reference_internal_coordinates(inst)
+    except InfeasibleInstanceError as exc:
+        with pytest.raises(InfeasibleInstanceError, match=re.escape(str(exc))):
+            internal_coordinates(inst)
+        return
+    got = internal_coordinates(inst)
+    assert got.n == expected.n
+    for name in ("bond_lengths", "bond_angles", "dihedral_cos", "clique_miss"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def test_array_setup_matches_reference_on_hand_made_instances():
+    missing = Instance(4, ((1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (1, 3, 1.5), (2, 4, 1.5)))
+    flat = Instance(4, ((1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (1, 3, 2.0), (2, 4, 1.5),
+                        (1, 4, 2.5)))
+    gaps = Instance(7, ((1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (1, 3, 2.0), (5, 6, 1.5),
+                        (1, 7, 2.5)))
+    for inst in (missing, flat, gaps, Instance(6, ()), Instance(1, ())):
+        assert validate_instance(inst) == reference_validate(inst)
+    assert validate_instance(gaps).missing_clique_edges == (
+        (1, 4), (2, 4), (2, 5), (3, 5), (3, 6), (4, 5), (4, 6), (4, 7), (5, 7), (6, 7))
+    assert validate_instance(gaps).triangle_violations == (1,)
+
+
 class TestGenerate:
     def test_deterministic(self):
         a1, t1 = generate_instance(9, 123, 0.5)
@@ -223,11 +345,50 @@ class TestTextFormats:
         ("4 1\n1 9 1.0\n", 2),
         ("4 1\n1 2 -1.0\n", 2),
         ("4 2\n1 2 1.0\n", 2),
+        ("4 1\n1 2 nan\n", 2),                       # non-finite distances
+        ("4 2\n1 2 1.0\n\n2 3 inf\n", 4),
+        ("4 1\n1 2 -inf\n", 2),
+        ("4 3\n1 2 1.0\n2 3 1.0\n1 2 1.0\n", 4),     # a duplicate, at its own line
+        ("4 1\n1 2 1_0.5\n", 2),                     # no digit-group underscores
+        ("4 1\n1_0 2 1.0\n", 2),
+        ("4 1\n1.0 2 1.0\n", 2),                     # endpoints are integers
+        ("4 2\n1 9 1.0\n1 2 x\n", 2),               # the first bad line wins
+        ("4 2\n1 2 1.0\n2 3 1.0 4\n", 3),
+        ("# c\n\n4 1\r\n\t1 2 0\r\n", 4),
+        ("4 1\n1 2 1.0\n2 3 1.0\n", 3),             # more edges than the header says
+        ("4 1\n# no edges\n", 1),                     # fewer
+        ("0 0\n", 1),                                # no vertices
     ])
     def test_malformed_instances_carry_line_numbers(self, text, line):
         with pytest.raises(FileFormatError) as err:
             parse_instance(text)
         assert err.value.line_no == line
+
+    def test_empty_edge_list(self):
+        assert parse_instance("# no edges\n5 0\n# at all\n") == Instance(5, ())
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(4, 30), seed=st.integers(0, 2**16), extra=st.floats(0.0, 0.5),
+           layout=st.integers(0, 2**32 - 1))
+    def test_round_trip_through_decorated_text(self, n, seed, extra, layout):
+        # comments, blank lines, CRLF line ends and tabs mixed into the
+        # text that format_instance writes
+        inst, _ = generate_instance(n, seed, extra)
+        rng = np.random.default_rng(layout)
+        blanks = ("", "   ", "\t", "# comment", "\t# 1 2 3.0")
+        out = []
+        for line in format_instance(inst).splitlines():
+            if rng.random() < 0.3:
+                out.append(blanks[rng.integers(len(blanks))])
+            spaces = [" \t"[rng.integers(2)] * int(rng.integers(1, 3)) for _ in range(3)]
+            fields = line.split()
+            line = spaces[0] * int(rng.random() < 0.3) + "".join(
+                f + sep for f, sep in zip(fields, spaces[1:] + [""]))
+            if rng.random() < 0.3:
+                line += spaces[0] + "# trailing"
+            out.append(line)
+        text = "".join(line + ("\r\n" if rng.random() < 0.5 else "\n") for line in out)
+        assert parse_instance(text) == inst
 
     def test_points_round_trip_is_exact(self):
         _, truth = generate_instance(9, 5, 0.0)

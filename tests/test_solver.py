@@ -35,6 +35,20 @@ def matrix_replay(inst, path):
     return np.array(pts)
 
 
+def solve_counting_nodes(inst, opts=SolveOptions()):
+    """solve, and the number of prune_check calls (walked nodes) it made."""
+    calls = []
+
+    def counted(partial, instance, eps):
+        calls.append(len(partial))
+        return prune_check(partial, instance, eps)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "prune_check", counted)
+        sols = solve(inst, opts)
+    return sols, len(calls)
+
+
 def chain_points(torsions, theta=1.91, d=1.526):
     """Chain with one bond angle and length, placed by the torsion-matrix
     oracle; torsions[k] is the torsion of vertex k + 4."""
@@ -204,11 +218,27 @@ class TestSolve:
     def test_near_coincident_minus_leaves_are_merged(self):
         # torsions 1e-6 rad from 0 and pi put the two placements of vertices
         # 4 and 6 about 3e-6 apart: both children are walked, and every leaf
-        # taking a - child there lies within eps of a returned one
+        # taking a - child there has the path of a returned one once its
+        # signs at 4 and 6 are set to +
         inst = ingest_coordinates(format_points(chain_points((1e-6, 1.0, math.pi - 1e-6))),
                                   cutoff=0)
         sols = solve(inst, SolveOptions(mode="all"))
         assert [str(p) for _, p in sols] == ["+++", "+-+"]
+
+    @pytest.mark.parametrize("n, count", [(12, 256), (14, 1024), (15, 2048)])
+    def test_near_vertex_halves_the_solutions_far_from_the_anchor(self, n, count):
+        # an unpruned chain with torsions of 0.5-2.5 rad, except 1e-5 rad at
+        # vertex 4: its two placements are 2.9e-5 A apart, and the leaves far
+        # down the chain, where a - leaf and its + twin drift apart by
+        # 2 omega times the distance from the bond axis, still merge in pairs
+        rng = np.random.default_rng(n)
+        torsions = rng.uniform(0.5, 2.5, n - 3) * rng.choice((-1.0, 1.0), n - 3)
+        torsions[0] = 1e-5
+        inst = ingest_coordinates(format_points(chain_points(torsions)), cutoff=0)
+        sols, nodes = solve_counting_nodes(inst)
+        assert len(sols) == count
+        assert all(path.signs[0] == 1 for _, path in sols)
+        assert nodes <= n
 
     @pytest.mark.parametrize("torsions, cutoff, count", [
         ((math.pi,) * 27, 0.0, 1),                  # planar zigzag, n = 30
@@ -390,6 +420,29 @@ def test_exact_instance_has_two_to_the_symmetry_count_solutions(n, seed, extra):
     assume(np.all(2.0 * d * np.sin(theta) * sin_omega > eps))   # no near-coincident vertex
     sols = solve(inst, SolveOptions(eps=eps))
     assert len(sols) == 2 ** int(symmetry_vertices(inst).sum())
+
+
+@settings(max_examples=40, deadline=None)
+@given(torsions=st.lists(st.tuples(st.booleans(), st.floats(0.3, math.pi - 0.3),
+                                   st.floats(3e-6, 1e-5), st.sampled_from((-1.0, 1.0)),
+                                   st.booleans()),
+                         min_size=1, max_size=12))
+def test_near_vertices_divide_the_solutions_by_two_each(torsions):
+    # no pruning edge, k near-coincident vertices that are not planar (a
+    # torsion 3e-6 to 1e-5 rad from 0 or pi): exactly 2^(n-3-k) solutions,
+    # each with + at every near vertex, from a walk of one descent
+    omegas = [sign * ((math.pi - small if flip else small) if near else far)
+              for near, far, small, sign, flip in torsions]
+    inst = ingest_coordinates(format_points(chain_points(omegas)), cutoff=0)
+    coords = internal_coordinates(inst)
+    theta, d = coords.bond_angles[1:], coords.bond_lengths[2:]
+    near = 2.0 * d * np.sin(theta) * np.sqrt(1.0 - coords.dihedral_cos ** 2) <= 1e-4
+    assert near.tolist() == [t[0] for t in torsions]
+    assert np.all(1.0 - np.abs(coords.dihedral_cos) > 1024 * np.finfo(float).eps)
+    sols, nodes = solve_counting_nodes(inst)
+    assert len(sols) == 2 ** (len(omegas) - int(near.sum()))
+    assert all(np.all(np.array(path.signs)[near] == 1) for _, path in sols)
+    assert nodes <= inst.n
 
 
 def test_capped_solves_are_prefixes_of_the_full_list():
