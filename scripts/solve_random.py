@@ -7,8 +7,12 @@ checks mirror closure: vertex 4 is always a symmetry vertex, so the image
 of every realization under z -> -z (the anchor plane) must lie within eps
 of a returned realization.  Every instance must also come back unchanged,
 with the same validation report, from a trip through ``format_instance``
-and ``parse_instance``.  Exits 1 if any instance's gap exceeds the tolerance,
-any mirror image is missing or any round trip differs."""
+and ``parse_instance``.  The two constructors must agree: ingesting the
+ground truth at an infinite cutoff must give the instance the generator
+makes from the same seed with every pair as an edge (the truth depends
+only on the torsions, which are drawn first).  Exits 1 if any instance's
+gap exceeds the tolerance, any mirror image is missing, any round trip
+differs or the constructors disagree."""
 
 import argparse
 import math
@@ -16,8 +20,8 @@ import time
 
 import numpy as np
 
-from cgabp.dmdgp import (format_instance, generate_instance, internal_coordinates,
-                         parse_instance, validate_instance)
+from cgabp.dmdgp import (format_instance, format_points, generate_instance, ingest_coordinates,
+                         internal_coordinates, parse_instance, validate_instance)
 from cgabp.geometry import matrix_place_next, verify_realization
 from cgabp.solver import SolveOptions, initialize_first_three, solve
 
@@ -42,13 +46,16 @@ def main():
     args = ap.parse_args()
 
     print(f"{'n':>5} {'edges':>6} {'solutions':>10} {'worst viol':>12} "
-          f"{'truth err':>11} {'time [s]':>9} {'oracle gap':>11} {'mirror':>7} {'text':>5}")
+          f"{'truth err':>11} {'time [s]':>9} {'oracle gap':>11} {'mirror':>7} {'text':>5} "
+          f"{'ingest':>6}")
     opts = SolveOptions(mode="all")
-    mismatches = unmirrored = garbled = 0
+    mismatches = unmirrored = garbled = disagree = 0
     for n in args.sizes:
         inst, truth = generate_instance(n, args.seed + n, args.extra_edges)
         again = parse_instance(format_instance(inst))
         same = again == inst and validate_instance(again) == validate_instance(inst)
+        agree = (ingest_coordinates(format_points(truth), cutoff=math.inf)
+                 == generate_instance(n, args.seed + n, 1.0)[0])
         t0 = time.perf_counter()
         sols = solve(inst, opts)
         dt = time.perf_counter() - t0
@@ -64,14 +71,16 @@ def main():
         mismatches += gap > GAP_TOL
         unmirrored += not closed
         garbled += not same
+        disagree += not agree
         print(f"{n:>5} {len(inst.edges):>6} {len(sols):>10} {worst:>12.3e} "
               f"{best:>11.3e} {dt:>9.3f} {gap:>11.1e} {'ok' if closed else 'MISS':>7} "
-              f"{'ok' if same else 'DIFF':>5}")
+              f"{'ok' if same else 'DIFF':>5} {'ok' if agree else 'DIFF':>6}")
     print(f"\nmatrix oracle: {mismatches} of {len(args.sizes)} instances differ "
           f"by more than {GAP_TOL:g}")
     print(f"mirror closure: {unmirrored} of {len(args.sizes)} instances miss a mirror image")
     print(f"text round trip: {garbled} of {len(args.sizes)} instances differ")
-    return 1 if mismatches or unmirrored or garbled else 0
+    print(f"ingest vs generate: {disagree} of {len(args.sizes)} instances differ")
+    return 1 if mismatches or unmirrored or garbled or disagree else 0
 
 
 if __name__ == "__main__":

@@ -31,6 +31,19 @@ def _eps(text: str) -> float:
     return eps
 
 
+def _int_at_least(low: int):
+    """argparse type of an integer option that must be at least ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return value
+    return parse
+
+
 def _read_instance(path: str):
     try:
         text = Path(path).read_text()
@@ -54,7 +67,7 @@ def _cmd_solve(args) -> int:
     inst = _read_instance(args.instance)
     opts = SolveOptions(
         eps=args.eps,
-        mode="all" if args.all else "first",
+        mode="all" if args.all or args.max_solutions else "first",
         max_solutions=args.max_solutions,
     )
     try:
@@ -135,7 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--all", action="store_true", help="enumerate all realizations")
     p.add_argument("--eps", **eps)
-    p.add_argument("--max-solutions", type=int, default=None)
+    p.add_argument("--max-solutions", type=_int_at_least(1), default=None,
+                   help="stop after this many realizations (implies --all)")
     p.add_argument("--out", default=None, help="write realizations here")
     p.set_defaults(func=_cmd_solve)
 
@@ -155,8 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bench", help="motor vs matrix micro-benchmarks")
-    p.add_argument("--count", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--count", type=_int_at_least(1), default=1000)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=_cmd_bench)
     return parser
 

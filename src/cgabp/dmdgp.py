@@ -5,10 +5,10 @@ instance generation and coordinate-file ingestion.
 An ``Instance`` holds its edges as arrays, indexed once when it is made:
 the pruning edges (v - u >= 4) as CSR rows by v, and d(i-1, i), d(i-2, i)
 and d(i-3, i) gathered into one (n, 3) array, which validation and the
-internal coordinates both read.  Its checks sort the edges once, by the
-key u (n + 1) + v, to find repeats.  A file's edge lines are read by one
-``np.loadtxt`` call.  So set-up runs a fixed handful of NumPy calls and
-no Python loop over edges or vertices.
+internal coordinates both read.  One rule, ``_first_bad_edge``, judges
+its edges however it is made.  A file's edge lines are read by one
+``np.loadtxt`` call, and the generator and ingestion build (u, v, d)
+arrays, so set-up runs no Python loop over edges, pairs or vertices.
 
 File formats owned by this module (text, UTF-8, '#' starts a comment):
 
@@ -42,10 +42,9 @@ class Instance:
     instance keeps the clique distances of ``clique_distances``, gathered
     in one scatter, and the pruning edges (v - u >= 4) as CSR rows by v,
     input order within a row, which ``pruning_edges`` slices; ``distance``
-    reads both.  The checks are vectorized, with one sort by the key
-    u (n + 1) + v to find repeats: every edge must satisfy
-    1 <= u < v <= n, appear once and have a positive finite distance, and
-    the first edge in input order that does not raises ValueError.
+    reads both.  Every edge must satisfy 1 <= u < v <= n, appear once and
+    have a positive finite distance: the first in input order that does
+    not raises ValueError, with the reason ``_first_bad_edge`` gives it.
     """
 
     n: int
@@ -78,12 +77,10 @@ class Instance:
         n = self.n
         if n < 1:
             raise ValueError(f"vertex count must be positive, got {n}")
+        bad = _first_bad_edge(n, u, v, d)
+        if bad is not None:
+            raise ValueError(bad[1])
         gap = v - u
-        keys = u * (n + 1) + v
-        keys.sort()
-        if (((u < 1) | (gap < 1) | (v > n) | ~((d > 0.0) & (d < math.inf))).any()
-                or (keys[1:] == keys[:-1]).any()):
-            raise ValueError(_first_bad_edge(n, u, v, d))
         near = gap <= 3
         clique = np.empty(3 * n)
         clique.fill(np.nan)
@@ -130,20 +127,25 @@ class Instance:
         return self._clique
 
 
-def _first_bad_edge(n, u, v, d) -> str:
-    """Why the first edge, in input order, that is out of range, repeats
-    an earlier edge or has no positive finite distance is rejected."""
+def _first_bad_edge(n, u, v, d) -> tuple[int, str] | None:
+    """(index, reason) of the first edge, in input order, that is out of
+    range, repeats an earlier edge or has no positive finite distance, or
+    None.  A sort of the keys u (n + 1) + v tells whether any repeats."""
+    outside = (u < 1) | (u >= v) | (v > n)
+    bad = outside | ~((d > 0.0) & (d < math.inf))
     key = u * (n + 1) + v
+    ordered = np.sort(key)
+    if not (bad.any() or (ordered[1:] == ordered[:-1]).any()):
+        return None
     repeat = np.ones(len(key), dtype=bool)
     repeat[np.unique(key, return_index=True)[1]] = False   # all but each key's first edge
-    outside = (u < 1) | (u >= v) | (v > n)
-    k = int((outside | repeat | ~((d > 0.0) & (d < math.inf))).argmax())
+    k = int((bad | repeat).argmax())
     edge, dk = f"edge ({u[k]},{v[k]})", float(d[k])
     if outside[k]:
-        return f"{edge} violates 1 <= u < v <= n"
+        return k, f"{edge} violates 1 <= u < v <= n = {n}"
     if repeat[k]:
-        return f"duplicate {edge}"
-    return f"{edge} has {'non-positive' if dk <= 0.0 else 'non-finite'} distance {dk}"
+        return k, f"duplicate {edge}"
+    return k, f"{edge} has {'non-positive' if dk <= 0.0 else 'non-finite'} distance {dk}"
 
 
 @dataclass(frozen=True)
@@ -245,20 +247,22 @@ def generate_instance(n: int, seed: int, extra_edge_fraction: float = 0.0):
     for i in range(3, n):
         pts[i] = matrix_place_next(pts[i - 3], pts[i - 2], pts[i - 1],
                                    th0, torsions[i - 3], d0)[0]
-
-    edges = []
-    for u in range(1, n + 1):
-        for v in range(u + 1, min(u + 3, n) + 1):
-            edges.append((u, v, float(np.linalg.norm(pts[u - 1] - pts[v - 1]))))
+    # each 0-based pair (u, v) as the key u n + v; sorted keys sort by (u, v)
+    u = np.repeat(np.arange(n), 3)
+    v = u + np.tile((1, 2, 3), n)
+    keys = (u * n + v)[v < n]                                        # chain distance <= 3
     k = int(round(extra_edge_fraction * ((n - 4) * (n - 3) // 2)))  # pairs with v - u >= 4
     if k:
-        remaining = [(u, v) for u in range(1, n + 1) for v in range(u + 4, n + 1)]
-        picked = rng.choice(len(remaining), size=k, replace=False)
-        for idx in sorted(picked):
-            u, v = remaining[idx]
-            edges.append((u, v, float(np.linalg.norm(pts[u - 1] - pts[v - 1]))))
-    edges.sort()
-    return Instance(n, tuple(edges)), pts
+        far = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), 4))  # those, in key order
+        keys = np.sort(np.concatenate((keys, far[rng.choice(far.size, size=k, replace=False)])))
+    u, v = np.divmod(keys, n)
+    return Instance._from_arrays(n, u + 1, v + 1, _lengths(pts, u, v)), pts
+
+
+def _lengths(pts: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """|pts[u] - pts[v]| per pair, bit-equal to ``np.linalg.norm`` of each."""
+    diff = pts[u] - pts[v]
+    return np.sqrt(np.vecdot(diff, diff))
 
 
 # -- text formats -------------------------------------------------------------
@@ -307,28 +311,26 @@ def parse_instance(text: str) -> Instance:
 
 
 def _raise_at_bad_line(body, first_no: int, n: int, m: int):
-    """Raise FileFormatError at the first edge line of ``body`` (numbered
-    from ``first_no``) that is malformed, out of range, not a positive
-    finite distance or a repeat, or at the last one if the count is not m."""
-    seen = set()
+    """Raise FileFormatError at the first bad edge line of ``body``, numbered
+    from ``first_no``: the first ``np.loadtxt`` rejects as 'u v d', unless
+    ``_first_bad_edge`` rejects an edge above it; else, if the count is not
+    m, at the last line."""
+    nos, rows, stop = [], [], None
     for no, line in _data_lines(body, first_no):
-        if len(line.split()) != 3:
-            raise FileFormatError(no, f"expected 'u v d', got {line!r}")
         try:
-            (u, v, d), = np.loadtxt([line], dtype=_EDGE_ROW, ndmin=1).tolist()
+            rows.append(np.loadtxt([line], dtype=_EDGE_ROW, ndmin=1).item())
         except ValueError:
-            raise FileFormatError(no, f"malformed edge line {line!r}") from None
-        if not (1 <= u < v <= n):
-            raise FileFormatError(no, f"edge ({u},{v}) out of range for n={n}")
-        if not d < math.inf:
-            raise FileFormatError(no, f"non-finite distance {d}")
-        if not d > 0:
-            raise FileFormatError(no, f"non-positive distance {d}")
-        if (u, v) in seen:
-            raise FileFormatError(no, f"duplicate edge ({u},{v})")
-        seen.add((u, v))
-    if len(seen) != m:
-        raise FileFormatError(no if seen else 1, f"header promises {m} edges, found {len(seen)}")
+            stop = FileFormatError(no, f"expected 'u v d', got {line!r}")
+            break
+        nos.append(no)
+    rows = np.array(rows, dtype=_EDGE_ROW)
+    bad = _first_bad_edge(n, rows["u"], rows["v"], rows["d"])
+    if bad is not None:
+        raise FileFormatError(nos[bad[0]], bad[1])
+    if stop is not None:
+        raise stop
+    if len(nos) != m:
+        raise FileFormatError(nos[-1] if nos else 1, f"header promises {m} edges, found {len(nos)}")
 
 
 def format_instance(inst: Instance) -> str:
@@ -376,10 +378,7 @@ def ingest_coordinates(text: str, cutoff: float = 5.0) -> Instance:
     n = len(pts)
     if n < 4:
         raise FileFormatError(1, f"need at least 4 points, got {n}")
-    edges = []
-    for u in range(1, n + 1):
-        for v in range(u + 1, n + 1):
-            d = float(np.linalg.norm(pts[u - 1] - pts[v - 1]))
-            if v - u <= 3 or d <= cutoff:
-                edges.append((u, v, d))
-    return Instance(n, tuple(edges))
+    u, v = np.triu_indices(n, 1)
+    d = _lengths(pts, u, v)
+    keep = (v - u <= 3) | (d <= cutoff)
+    return Instance._from_arrays(n, u[keep] + 1, v[keep] + 1, d[keep])

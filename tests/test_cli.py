@@ -161,3 +161,27 @@ def test_module_entry_point_runs_the_parser(tmp_path):
                            "--eps", "-1"], env=env, capture_output=True, text=True)
     assert proc.returncode == 2
     assert "positive finite" in proc.stderr
+
+
+def test_count_options_are_usage_errors(tmp_path, capsys):
+    # argparse rejects them before any file is read or any work is done
+    missing = str(tmp_path / "x.txt")
+    for argv in (["solve", missing, "--max-solutions", "0"],
+                 ["solve", missing, "--max-solutions", "-2"],
+                 ["solve", missing, "--max-solutions", "two"],
+                 ["bench", "--count", "0"],
+                 ["bench", "--seed", "-1"]):
+        assert run(argv) == 2
+        assert "must be an integer >=" in capsys.readouterr().err
+
+
+def test_max_solutions_enumerates_up_to_k(tmp_path, capsys):
+    inst_file = tmp_path / "i.txt"
+    run(["generate", "--n", "10", "--seed", "7", "--out", str(inst_file)])
+    capsys.readouterr()
+    assert run(["solve", str(inst_file), "--max-solutions", "3"]) == 0
+    assert "solutions: 3" in capsys.readouterr().out
+    assert run(["solve", str(inst_file), "--all", "--max-solutions", "5"]) == 0
+    assert "solutions: 5" in capsys.readouterr().out
+    assert run(["solve", str(inst_file)]) == 0
+    assert "solutions: 1" in capsys.readouterr().out

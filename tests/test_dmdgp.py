@@ -264,6 +264,56 @@ def test_array_setup_matches_reference_on_hand_made_instances():
     assert validate_instance(gaps).triangle_violations == (1,)
 
 
+def reference_generated_edges(n, seed, extra, pts):
+    """generate_instance's edges built pair by pair from its truth ``pts``,
+    with one ``np.linalg.norm`` per pair and a sort of the tuples."""
+    rng = np.random.default_rng(seed)
+    rng.uniform(-math.pi, math.pi, size=n - 3)   # the torsions are drawn first
+    edges = [(u, v, float(np.linalg.norm(pts[u - 1] - pts[v - 1])))
+             for u in range(1, n + 1) for v in range(u + 1, min(u + 3, n) + 1)]
+    k = int(round(extra * ((n - 4) * (n - 3) // 2)))
+    if k:
+        remaining = [(u, v) for u in range(1, n + 1) for v in range(u + 4, n + 1)]
+        for idx in sorted(rng.choice(len(remaining), size=k, replace=False)):
+            u, v = remaining[idx]
+            edges.append((u, v, float(np.linalg.norm(pts[u - 1] - pts[v - 1]))))
+    return tuple(sorted(edges))
+
+
+def reference_ingested_edges(pts, cutoff):
+    """ingest_coordinates' edges built pair by pair, one ``np.linalg.norm``
+    per pair."""
+    n, edges = len(pts), []
+    for u in range(1, n + 1):
+        for v in range(u + 1, n + 1):
+            d = float(np.linalg.norm(pts[u - 1] - pts[v - 1]))
+            if v - u <= 3 or d <= cutoff:
+                edges.append((u, v, d))
+    return tuple(edges)
+
+
+def bits(edges):
+    return [(u, v, np.float64(d).tobytes()) for u, v, d in edges]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(4, 60), seed=st.integers(0, 2**63), extra=st.floats(0.0, 1.0))
+def test_generated_edges_match_per_pair_reference(n, seed, extra):
+    inst, truth = generate_instance(n, seed, extra)
+    assert bits(inst.edges) == bits(reference_generated_edges(n, seed, extra, truth))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(4, 60), seed=st.integers(0, 2**16),
+       shift=st.tuples(*[st.floats(-1e3, 1e3)] * 3),
+       cutoff=st.sampled_from([0.0, 3.0, 5.0, math.inf]))
+def test_ingested_edges_match_per_pair_reference(n, seed, shift, cutoff):
+    _, truth = generate_instance(n, seed, 0.0)
+    text = format_points(truth + np.array(shift))
+    inst = ingest_coordinates(text, cutoff=cutoff)
+    assert bits(inst.edges) == bits(reference_ingested_edges(parse_points(text), cutoff))
+
+
 class TestGenerate:
     def test_deterministic(self):
         a1, t1 = generate_instance(9, 123, 0.5)
@@ -363,6 +413,21 @@ class TestTextFormats:
         with pytest.raises(FileFormatError) as err:
             parse_instance(text)
         assert err.value.line_no == line
+        if text in self.BAD_EDGES:
+            # a range, finiteness, positivity or duplicate fault, in Instance's words
+            with pytest.raises(ValueError) as want:
+                Instance(4, self.BAD_EDGES[text])
+            assert str(err.value) == f"line {line}: {want.value}"
+
+    # the edges read up to the first bad line of each semantic row above
+    BAD_EDGES = {"4 1\n1 9 1.0\n": ((1, 9, 1.0),),
+                 "4 1\n1 2 -1.0\n": ((1, 2, -1.0),),
+                 "4 1\n1 2 nan\n": ((1, 2, math.nan),),
+                 "4 2\n1 2 1.0\n\n2 3 inf\n": ((1, 2, 1.0), (2, 3, math.inf)),
+                 "4 1\n1 2 -inf\n": ((1, 2, -math.inf),),
+                 "4 3\n1 2 1.0\n2 3 1.0\n1 2 1.0\n": ((1, 2, 1.0), (2, 3, 1.0), (1, 2, 1.0)),
+                 "4 2\n1 9 1.0\n1 2 x\n": ((1, 9, 1.0),),
+                 "# c\n\n4 1\r\n\t1 2 0\r\n": ((1, 2, 0.0),)}
 
     def test_empty_edge_list(self):
         assert parse_instance("# no edges\n5 0\n# at all\n") == Instance(5, ())
