@@ -7,8 +7,9 @@ the pruning edges (v - u >= 4) as CSR rows by v, and d(i-1, i), d(i-2, i)
 and d(i-3, i) gathered into one (n, 3) array, which validation and the
 internal coordinates both read.  One rule, ``_first_bad_edge``, judges
 its edges however it is made.  A file's edge lines are read by one
-``np.loadtxt`` call, and the generator and ingestion build (u, v, d)
-arrays, so set-up runs no Python loop over edges, pairs or vertices.
+``np.loadtxt`` call, and the generator and ingestion (one row of pairs
+per vertex) build (u, v, d) arrays, so no Python loop runs over edges
+or pairs.
 
 File formats owned by this module (text, UTF-8, '#' starts a comment):
 
@@ -256,13 +257,12 @@ def generate_instance(n: int, seed: int, extra_edge_fraction: float = 0.0):
         far = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), 4))  # those, in key order
         keys = np.sort(np.concatenate((keys, far[rng.choice(far.size, size=k, replace=False)])))
     u, v = np.divmod(keys, n)
-    return Instance._from_arrays(n, u + 1, v + 1, _lengths(pts, u, v)), pts
+    return Instance._from_arrays(n, u + 1, v + 1, _lengths(pts[u] - pts[v])), pts
 
 
-def _lengths(pts: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """|pts[u] - pts[v]| per pair, bit-equal to ``np.linalg.norm`` of each."""
-    diff = pts[u] - pts[v]
-    return np.sqrt(np.vecdot(diff, diff))
+def _lengths(diff: np.ndarray) -> np.ndarray:
+    """Length of each row of ``diff``, bit-equal to ``np.linalg.norm`` (the same dot)."""
+    return np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
 
 
 # -- text formats -------------------------------------------------------------
@@ -282,8 +282,9 @@ def parse_instance(text: str) -> Instance:
 
     The header is read in Python and the edge lines in one ``np.loadtxt``
     call.  Only when that call, the edge count or the instance's checks
-    reject the body does a line-by-line scan run, to raise FileFormatError
-    at the first bad line.
+    reject the body is FileFormatError raised at the first bad line: the
+    line of the edge ``_first_bad_edge`` picks, unless ``np.loadtxt``
+    rejects a line above it on its own; else, for a wrong count, the last.
     """
     lines = text.splitlines()
     head = next(_data_lines(lines), None)
@@ -297,40 +298,34 @@ def parse_instance(text: str) -> Instance:
         n, m = int(parts[0]), int(parts[1])
     except ValueError:
         raise FileFormatError(no, f"expected integers 'n m', got {line!r}") from None
-    body = lines[no:]
+    rows, stop = None, None
     try:
         # a last row of its own keeps loadtxt from warning about a body with no data
-        rows = np.loadtxt(body + ["1 2 1"], dtype=_EDGE_ROW, comments="#", ndmin=1)[:-1]
+        rows = np.loadtxt(lines[no:] + ["1 2 1"], dtype=_EDGE_ROW, comments="#", ndmin=1)[:-1]
         if len(rows) == m:
             return Instance._from_arrays(n, rows["u"], rows["v"], rows["d"])
         problem = f"header promises {m} edges, found {len(rows)}"
     except ValueError as exc:
         problem = str(exc)
-    _raise_at_bad_line(body, no + 1, n, m)
-    raise FileFormatError(no, problem)
-
-
-def _raise_at_bad_line(body, first_no: int, n: int, m: int):
-    """Raise FileFormatError at the first bad edge line of ``body``, numbered
-    from ``first_no``: the first ``np.loadtxt`` rejects as 'u v d', unless
-    ``_first_bad_edge`` rejects an edge above it; else, if the count is not
-    m, at the last line."""
-    nos, rows, stop = [], [], None
-    for no, line in _data_lines(body, first_no):
-        try:
-            rows.append(np.loadtxt([line], dtype=_EDGE_ROW, ndmin=1).item())
-        except ValueError:
-            stop = FileFormatError(no, f"expected 'u v d', got {line!r}")
-            break
-        nos.append(no)
-    rows = np.array(rows, dtype=_EDGE_ROW)
+    body = list(_data_lines(lines[no:], no + 1))   # loadtxt reads these as its rows
+    if rows is None:   # read the lines one by one, up to the first loadtxt rejects
+        read = []
+        for line_no, line in body:
+            try:
+                read.append(np.loadtxt([line], dtype=_EDGE_ROW, ndmin=1).item())
+            except ValueError:
+                stop = FileFormatError(line_no, f"expected 'u v d', got {line!r}")
+                break
+        rows = np.array(read, dtype=_EDGE_ROW)
     bad = _first_bad_edge(n, rows["u"], rows["v"], rows["d"])
     if bad is not None:
-        raise FileFormatError(nos[bad[0]], bad[1])
+        raise FileFormatError(body[bad[0]][0], bad[1])
     if stop is not None:
         raise stop
-    if len(nos) != m:
-        raise FileFormatError(nos[-1] if nos else 1, f"header promises {m} edges, found {len(nos)}")
+    if len(rows) != m:
+        no = body[-1][0] if body else 1
+        problem = f"header promises {m} edges, found {len(rows)}"
+    raise FileFormatError(no, problem)
 
 
 def format_instance(inst: Instance) -> str:
@@ -378,7 +373,12 @@ def ingest_coordinates(text: str, cutoff: float = 5.0) -> Instance:
     n = len(pts)
     if n < 4:
         raise FileFormatError(1, f"need at least 4 points, got {n}")
-    u, v = np.triu_indices(n, 1)
-    d = _lengths(pts, u, v)
-    keep = (v - u <= 3) | (d <= cutoff)
-    return Instance._from_arrays(n, u[keep] + 1, v[keep] + 1, d[keep])
+    gaps, ds = [], []
+    for u in range(n - 1):   # one row of pairs (u, v > u) at a time, to hold only the kept ones
+        d = _lengths(pts[u] - pts[u + 1:])
+        keep = d <= cutoff
+        keep[:3] = True       # chain distance <= 3
+        gaps.append(keep.nonzero()[0] + 1)
+        ds.append(d[keep])
+    u = np.repeat(np.arange(1, n), [len(g) for g in gaps])
+    return Instance._from_arrays(n, u, u + np.concatenate(gaps), np.concatenate(ds))

@@ -387,47 +387,43 @@ class TestTextFormats:
         inst = parse_instance(text)
         assert inst.n == 4 and len(inst.edges) == 2
 
-    @pytest.mark.parametrize("text, line", [
-        ("", 1),
-        ("4\n", 1),
-        ("4 1\n1 2\n", 2),
-        ("4 1\n1 2 x\n", 2),
-        ("4 1\n1 9 1.0\n", 2),
-        ("4 1\n1 2 -1.0\n", 2),
-        ("4 2\n1 2 1.0\n", 2),
-        ("4 1\n1 2 nan\n", 2),                       # non-finite distances
-        ("4 2\n1 2 1.0\n\n2 3 inf\n", 4),
-        ("4 1\n1 2 -inf\n", 2),
-        ("4 3\n1 2 1.0\n2 3 1.0\n1 2 1.0\n", 4),     # a duplicate, at its own line
-        ("4 1\n1 2 1_0.5\n", 2),                     # no digit-group underscores
-        ("4 1\n1_0 2 1.0\n", 2),
-        ("4 1\n1.0 2 1.0\n", 2),                     # endpoints are integers
-        ("4 2\n1 9 1.0\n1 2 x\n", 2),               # the first bad line wins
-        ("4 2\n1 2 1.0\n2 3 1.0 4\n", 3),
-        ("# c\n\n4 1\r\n\t1 2 0\r\n", 4),
-        ("4 1\n1 2 1.0\n2 3 1.0\n", 3),             # more edges than the header says
-        ("4 1\n# no edges\n", 1),                     # fewer
-        ("0 0\n", 1),                                # no vertices
-    ])
-    def test_malformed_instances_carry_line_numbers(self, text, line):
+    # (text, line of the error, the edges read up to that line where the
+    # fault is in range, finiteness, positivity or repeats, else None)
+    MALFORMED = [
+        ("", 1, None),
+        ("4\n", 1, None),
+        ("4 1\n1 2\n", 2, None),
+        ("4 1\n1 2 x\n", 2, None),
+        ("4 1\n1 9 1.0\n", 2, ((1, 9, 1.0),)),
+        ("4 1\n1 2 -1.0\n", 2, ((1, 2, -1.0),)),
+        ("4 2\n1 2 1.0\n", 2, None),
+        ("4 1\n1 2 nan\n", 2, ((1, 2, math.nan),)),               # non-finite distances
+        ("4 2\n1 2 1.0\n\n2 3 inf\n", 4, ((1, 2, 1.0), (2, 3, math.inf))),
+        ("4 1\n1 2 -inf\n", 2, ((1, 2, -math.inf),)),
+        ("4 3\n1 2 1.0\n2 3 1.0\n1 2 1.0\n", 4,                   # a duplicate, at its own line
+         ((1, 2, 1.0), (2, 3, 1.0), (1, 2, 1.0))),
+        ("4 1\n1 2 1_0.5\n", 2, None),                            # no digit-group underscores
+        ("4 1\n1_0 2 1.0\n", 2, None),
+        ("4 1\n1.0 2 1.0\n", 2, None),                            # endpoints are integers
+        ("4 2\n1 9 1.0\n1 2 x\n", 2, ((1, 9, 1.0),)),             # the first bad line wins
+        ("4 2\n1 2 1.0\n2 3 1.0 4\n", 3, None),
+        ("# c\n\n4 1\r\n\t1 2 0\r\n", 4, ((1, 2, 0.0),)),
+        ("4 1\n1 2 1.0\n2 3 1.0\n", 3, None),                     # more edges than the header says
+        ("4 1\n# no edges\n", 1, None),                           # fewer
+        ("0 0\n", 1, None),                                       # no vertices
+    ]
+
+    @pytest.mark.parametrize("text, line, edges", MALFORMED,
+                             ids=[f"{text}-{line}" for text, line, _ in MALFORMED])
+    def test_malformed_instances_carry_line_numbers(self, text, line, edges):
         with pytest.raises(FileFormatError) as err:
             parse_instance(text)
         assert err.value.line_no == line
-        if text in self.BAD_EDGES:
-            # a range, finiteness, positivity or duplicate fault, in Instance's words
+        if edges is not None:
+            # the fault, in Instance's words
             with pytest.raises(ValueError) as want:
-                Instance(4, self.BAD_EDGES[text])
+                Instance(4, edges)
             assert str(err.value) == f"line {line}: {want.value}"
-
-    # the edges read up to the first bad line of each semantic row above
-    BAD_EDGES = {"4 1\n1 9 1.0\n": ((1, 9, 1.0),),
-                 "4 1\n1 2 -1.0\n": ((1, 2, -1.0),),
-                 "4 1\n1 2 nan\n": ((1, 2, math.nan),),
-                 "4 2\n1 2 1.0\n\n2 3 inf\n": ((1, 2, 1.0), (2, 3, math.inf)),
-                 "4 1\n1 2 -inf\n": ((1, 2, -math.inf),),
-                 "4 3\n1 2 1.0\n2 3 1.0\n1 2 1.0\n": ((1, 2, 1.0), (2, 3, 1.0), (1, 2, 1.0)),
-                 "4 2\n1 9 1.0\n1 2 x\n": ((1, 9, 1.0),),
-                 "# c\n\n4 1\r\n\t1 2 0\r\n": ((1, 2, 0.0),)}
 
     def test_empty_edge_list(self):
         assert parse_instance("# no edges\n5 0\n# at all\n") == Instance(5, ())
