@@ -43,16 +43,18 @@ class Instance:
     instance keeps the clique distances of ``clique_distances``, gathered
     in one scatter, and the pruning edges (v - u >= 4) as CSR rows by v,
     input order within a row, which ``pruning_edges`` slices; ``distance``
-    reads both.  Every edge must satisfy 1 <= u < v <= n, appear once and
-    have a positive finite distance: the first in input order that does
-    not raises ValueError, with the reason ``_first_bad_edge`` gives it.
+    reads both.  ``pruning_lists`` holds the same rows as Python lists, for
+    the search's per-node check.  Every edge must satisfy 1 <= u < v <= n,
+    appear once and have a positive finite distance: the first in input
+    order that does not raises ValueError, with the reason
+    ``_first_bad_edge`` gives it.
     """
 
     n: int
     edges: tuple[tuple[int, int, float], ...]
     _clique: np.ndarray = field(init=False, repr=False, compare=False)
-    _rows: list = field(init=False, repr=False, compare=False)
     _far: tuple = field(init=False, repr=False, compare=False)
+    _far_lists: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.edges:
@@ -90,12 +92,13 @@ class Instance:
         clique.flags.writeable = False
         far = (~near).nonzero()[0]
         far = far[v[far].argsort(kind="stable")]
-        far_v = v[far]
+        far_u, far_v, far_d = u[far] - 1, v[far], d[far]
+        rows = [0] + np.bincount(far_v, minlength=n + 1).cumsum().tolist()
         for name, value in (
                 ("edges", tuple(zip(u.tolist(), v.tolist(), d.tolist()))),
                 ("_clique", clique),
-                ("_rows", [0] + np.bincount(far_v, minlength=n + 1).cumsum().tolist()),
-                ("_far", (u[far] - 1, far_v, d[far]))):
+                ("_far", (far_u, far_v, far_d)),
+                ("_far_lists", (rows, far_u.tolist(), far_d.tolist()))):
             object.__setattr__(self, name, value)
 
     def distance(self, u: int, v: int) -> float | None:
@@ -113,7 +116,8 @@ class Instance:
     def pruning_edges(self, v: int) -> tuple[np.ndarray, np.ndarray]:
         """The edges (u, v) with v - u >= 4, the only ones that can prune a
         placement of v, as arrays of 0-based u and of d, in input order."""
-        lo, hi = self._rows[v], self._rows[v + 1]
+        rows = self._far_lists[0]
+        lo, hi = rows[v], rows[v + 1]
         u, _, d = self._far
         return u[lo:hi], d[lo:hi]
 
@@ -121,6 +125,12 @@ class Instance:
         """Every pruning edge, as arrays of 0-based u, of v and of d ordered
         by v (input order within one v): the rows ``pruning_edges`` slices."""
         return self._far
+
+    def pruning_lists(self) -> tuple[list, list, list]:
+        """The rows of ``pruning_edges`` as Python lists: the edges of v are
+        entries ``rows[v]`` to ``rows[v + 1] - 1`` of the lists of 0-based u
+        and of d.  A loop over a few of them needs no NumPy call."""
+        return self._far_lists
 
     def clique_distances(self) -> np.ndarray:
         """Read-only (n, 3) array: row i - 1 holds d(i-1, i), d(i-2, i) and

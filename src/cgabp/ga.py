@@ -360,17 +360,54 @@ def _build_motor_tables() -> tuple[np.ndarray, np.ndarray]:
 
 
 _MOTOR_TABLE, _ORIGIN_TABLE = _build_motor_tables()
+_MOTOR_MATRIX = _MOTOR_TABLE.reshape(64, 8)
 
 
 def compose_motors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product of two motors given by their 8 support coefficients,
-    broadcast over any leading axes."""
-    return np.einsum("...i,...j,ijk->...k", a, b, _MOTOR_TABLE)
+    broadcast over any leading axes: the 64 pairwise coefficient products
+    times the (64, 8) structure constants, in one matmul."""
+    outer = np.multiply(np.asarray(a)[..., :, None], np.asarray(b)[..., None, :])
+    return outer.reshape(outer.shape[:-2] + (64,)) @ _MOTOR_MATRIX
 
 
 def motor_origin(m: np.ndarray) -> np.ndarray:
     """Euclidean point M no ~M for a unit motor given by its 8 coefficients."""
     return np.einsum("i,j,ijk->k", m, m, _ORIGIN_TABLE)
+
+
+# The two maps above for a single motor, on Python floats: the nonzero
+# entries of _MOTOR_TABLE and _ORIGIN_TABLE (all +-1) written out term by
+# term, in the order of the table's (i, j) entries and summed from 0.0, as
+# the array forms sum them, so both give the same bits.  This is the
+# dual-quaternion product; the tests check it against the tables and the
+# array forms.
+
+def compose_motor_floats(a, b) -> tuple:
+    """:func:`compose_motors` for one pair of motors, each a sequence of 8
+    floats, without NumPy."""
+    a0, a1, a2, a3, a4, a5, a6, a7 = a
+    b0, b1, b2, b3, b4, b5, b6, b7 = b
+    return (0.0 + a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+            0.0 + a0 * b1 + a1 * b0 - a2 * b3 + a3 * b2,
+            0.0 + a0 * b2 + a1 * b3 + a2 * b0 - a3 * b1,
+            0.0 + a0 * b3 - a1 * b2 + a2 * b1 + a3 * b0,
+            0.0 + a0 * b4 + a1 * b5 + a2 * b6 - a3 * b7 + a4 * b0 - a5 * b1 - a6 * b2 - a7 * b3,
+            0.0 + a0 * b5 - a1 * b4 + a2 * b7 + a3 * b6 + a4 * b1 + a5 * b0 - a6 * b3 + a7 * b2,
+            0.0 + a0 * b6 - a1 * b7 - a2 * b4 - a3 * b5 + a4 * b2 + a5 * b3 + a6 * b0 - a7 * b1,
+            0.0 + a0 * b7 + a1 * b6 - a2 * b5 + a3 * b4 + a4 * b3 - a5 * b2 + a6 * b1 + a7 * b0)
+
+
+def motor_origin_floats(m) -> tuple:
+    """:func:`motor_origin` for one motor, a sequence of 8 floats, without
+    NumPy.  Entries (i, j) and (j, i) of the table multiply the same two
+    coefficients, so each product is formed once and added twice."""
+    m0, m1, m2, m3, m4, m5, m6, m7 = m
+    p04, p05, p06, p14, p15, p17 = m0 * m4, m0 * m5, m0 * m6, m1 * m4, m1 * m5, m1 * m7
+    p24, p26, p27, p35, p36, p37 = m2 * m4, m2 * m6, m2 * m7, m3 * m5, m3 * m6, m3 * m7
+    return (0.0 - p04 - p15 - p26 - p37 - p04 - p15 - p26 - p37,
+            0.0 - p05 + p14 + p27 - p36 + p14 - p05 - p36 + p27,
+            0.0 - p06 - p17 + p24 + p35 + p24 + p35 - p06 - p17)
 
 
 def format_multivector(a: Multivector, eps: float = 1e-12) -> str:

@@ -3,11 +3,17 @@
 One iterative depth-first loop serves every mode.  The frame of each
 placed vertex is an 8-coefficient motor; a child composes its parent's
 motor with one of the two step motors of its vertex (torsion +omega or
--omega), built once per solve, and its point is the new motor's image of
-the origin.  Each edge is checked once, within ``eps`` angstroms: the
-discretization edges (v-3..v-1, v), which fix a vertex's two candidates,
-at set-up through the triangles and 4-cliques; the pruning edges
-(v - u >= 4) once per node, so leaves need no further verification.
+-omega), and its point is the new motor's image of the origin.  The step
+motors are built once per solve, as arrays (``ga.compose_motors``, one
+matmul per product); the work per node runs on Python floats, since at 8
+coefficients a NumPy call costs more than its arithmetic: the current
+path is a list of point tuples, the parent motors 8-tuples, composed by
+``ga.compose_motor_floats`` and mapped by ``ga.motor_origin_floats``, and
+the prune check loops over the vertex's row of ``Instance.pruning_lists``.
+Each edge is checked once, within ``eps`` angstroms: the discretization
+edges (v-3..v-1, v), which fix a vertex's two candidates, at set-up
+through the triangles and 4-cliques; the pruning edges (v - u >= 4) once
+per node, so leaves need no further verification.
 
 At a symmetry vertex v, which no pruning edge (u, w) spans with
 u + 3 < v <= w, the - subtree is not walked: its leaves are the + subtree's
@@ -29,7 +35,7 @@ from .conformal import (carrier_plane, compute_next_points,  # noqa: F401
                         embed_point, extract_point, reflect_in_plane, step_motor)
 from .dmdgp import Instance, InternalCoords, internal_coordinates, validate_instance
 from .errors import InfeasibleInstanceError, InvalidInstanceError
-from .ga import compose_motors, motor_origin
+from .ga import compose_motor_floats, compose_motors, motor_origin_floats
 from .geometry import verify_realization
 
 
@@ -88,15 +94,23 @@ def initialize_first_three(coords: InternalCoords) -> np.ndarray:
     return pts
 
 
-def prune_check(partial: np.ndarray, inst: Instance, eps: float) -> bool:
+def prune_check(partial, inst: Instance, eps: float) -> bool:
     """Whether the last placed vertex meets each of its pruning edges within
-    ``eps``.  Its discretization edges were checked at set-up: a placement
-    meets them by construction."""
-    u, d = inst.pruning_edges(len(partial))
-    if not u.size:
+    ``eps``.  ``partial`` holds the points of vertices 1..v, as a list of
+    (x, y, z) or a (v, 3) array.  Its discretization edges were checked at
+    set-up: a placement meets them by construction.  A NaN distance prunes."""
+    rows, far_u, far_d = inst.pruning_lists()
+    v = len(partial)
+    lo, hi = rows[v], rows[v + 1]
+    if lo == hi:
         return True
-    diff = partial[u] - partial[-1]
-    return bool(np.abs(np.sqrt(np.einsum("ij,ij->i", diff, diff)) - d).max() <= eps)
+    x, y, z = partial[-1]
+    for k in range(lo, hi):
+        px, py, pz = partial[far_u[k]]
+        dx, dy, dz = px - x, py - y, pz - z
+        if not abs(math.sqrt(dx * dx + dy * dy + dz * dz) - far_d[k]) <= eps:
+            return False
+    return True
 
 
 def symmetry_vertices(inst: Instance) -> np.ndarray:
@@ -192,12 +206,10 @@ def solve(inst: Instance, opts: SolveOptions = SolveOptions()):
     if np.any(coords.clique_miss > opts.eps):
         return []
     n = inst.n
-    points = np.zeros((n, 3))
-    points[:3] = initialize_first_three(coords)
     theta, d = coords.bond_angles[1:], coords.bond_lengths[2:]
     omega = np.arccos(coords.dihedral_cos)
-    # steps[k, 0] and steps[k, 1] place vertex k + 4 at torsion +omega and -omega
-    steps = np.stack((step_motor(theta, omega, d), step_motor(theta, -omega, d)), axis=1)
+    # steps[k][0] and steps[k][1] place vertex k + 4 at torsion +omega and -omega
+    steps = np.stack((step_motor(theta, omega, d), step_motor(theta, -omega, d)), axis=1).tolist()
     near = 2.0 * d * np.sin(theta) * np.sin(omega) <= opts.eps
     # cos(omega) within 1024 ulp of +-1 (omega within 7e-7 rad of 0 or pi) is
     # planar up to the closed form's rounding (a few hundred ulp on planar
@@ -209,12 +221,16 @@ def solve(inst: Instance, opts: SolveOptions = SolveOptions()):
     width = np.where(planar | mirror, 1, 2).tolist()
     flip = np.where(planar, 1, -1).astype(np.int8)   # sign change of a vertex in a mirrored suffix
     near, mirror = np.flatnonzero(near & ~planar), mirror.tolist()
-    # motors[v] is the torsion_matrix frame at vertex v.  From the identity
-    # frame at x1, a step back along -e1 (bond angle 0) reaches x2 and a step
-    # with torsion pi reaches x3, the anchor frame.
-    motors = np.zeros((n + 1, 8))
-    motors[3] = compose_motors(step_motor(0.0, 0.0, coords.bond_lengths[0]),
-                               step_motor(coords.bond_angles[0], math.pi, coords.bond_lengths[1]))
+    # frames[v] is the torsion_matrix frame at vertex v on the current path,
+    # as 8 floats.  From the identity frame at x1, a step back along -e1
+    # (bond angle 0) reaches x2 and a step with torsion pi reaches x3, the
+    # anchor frame.
+    frames = [None] * (n + 1)
+    frames[3] = compose_motors(step_motor(0.0, 0.0, coords.bond_lengths[0]),
+                               step_motor(coords.bond_angles[0], math.pi,
+                                          coords.bond_lengths[1])).tolist()
+    path = [tuple(p) for p in initialize_first_three(coords).tolist()]   # points of 1..v-1
+    eps = opts.eps
     cap = 1 if opts.mode == "first" else opts.max_solutions
     out: list = []
     seen: set = set()         # merge keys of the leaves returned so far, see _emit
@@ -224,28 +240,32 @@ def solve(inst: Instance, opts: SolveOptions = SolveOptions()):
     v = 4
     while v > 3:
         if v > n:
-            leaves.append((points[None].copy(), np.array([[1 if t == 1 else -1 for t in tried]],
-                                                         dtype=np.int8)))
+            leaves.append((np.array(path)[None], np.array([[1 if t == 1 else -1 for t in tried]],
+                                                          dtype=np.int8)))
             if _emit(out, seen, *leaves[-1], near, cap):
                 break
             v -= 1
+            path.pop()
             continue
         k = v - 4
         if tried[k] == width[k]:
             tried[k] = 0
             if mirror[k] and len(leaves) > start[k]:
-                leaves.append(_mirror(leaves[start[k]:], points[k:k + 3], k, flip))
+                leaves.append(_mirror(leaves[start[k]:], np.array(path[k:k + 3]), k, flip))
                 if _emit(out, seen, *leaves[-1], near, cap):
                     break
             v -= 1
+            path.pop()
             continue
         if not tried[k]:
             start[k] = len(leaves)
-        motors[v] = compose_motors(motors[v - 1], steps[k, tried[k]])
+        frames[v] = frame = compose_motor_floats(frames[v - 1], steps[k][tried[k]])
         tried[k] += 1
-        points[v - 1] = motor_origin(motors[v])
-        if prune_check(points[:v], inst, opts.eps):
+        path.append(motor_origin_floats(frame))
+        if prune_check(path, inst, eps):
             v += 1
+        else:
+            path.pop()
     return out
 
 

@@ -1,23 +1,105 @@
 """Branch & Prune solver tests: anchoring, pruning, enumeration counts,
-symmetry vertices and their mirrored subtrees, suffix reflections and
-symmetry expansion."""
+symmetry vertices and their mirrored subtrees, suffix reflections,
+symmetry expansion, and the float walk against the NumPy walk it replaced."""
 
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from cgabp.conformal import step_motor
 from cgabp.dmdgp import (Instance, format_points, generate_instance, ingest_coordinates,
-                         internal_coordinates)
-from cgabp.errors import DegenerateGeometryError, InvalidInstanceError
+                         internal_coordinates, validate_instance)
+from cgabp.errors import DegenerateGeometryError, InfeasibleInstanceError, InvalidInstanceError
 from cgabp.geometry import bond_angle, matrix_place_next, verify_realization
-from cgabp import solver
+from cgabp import ga, solver
 from cgabp.solver import (BranchPath, SolveOptions, expand_by_symmetry,
                           initialize_first_three, prune_check, reflect_suffix,
                           solve, symmetry_vertices)
+
+
+def reference_prune_check(partial, inst, eps):
+    """prune_check as one vectorized check of a (v, 3) array."""
+    u, d = inst.pruning_edges(len(partial))
+    if not u.size:
+        return True
+    diff = partial[u] - partial[-1]
+    return bool(np.abs(np.sqrt(np.einsum("ij,ij->i", diff, diff)) - d).max() <= eps)
+
+
+def reference_solve(inst, opts=SolveOptions()):
+    """solve as the NumPy walk it replaced: motors and points in preallocated
+    arrays, each child composed and mapped to its point by ``np.einsum``
+    over the motor tables, and the prune check vectorized.  The set-up, the
+    mirroring and the merge are solve's own."""
+    report = validate_instance(inst)
+    if not report.is_dmdgp:
+        raise InvalidInstanceError(report)
+    try:
+        coords = internal_coordinates(inst)
+    except InfeasibleInstanceError:
+        return []
+    if np.any(coords.clique_miss > opts.eps):
+        return []
+    n = inst.n
+    points = np.zeros((n, 3))
+    points[:3] = initialize_first_three(coords)
+    theta, d = coords.bond_angles[1:], coords.bond_lengths[2:]
+    omega = np.arccos(coords.dihedral_cos)
+    steps = np.stack((step_motor(theta, omega, d), step_motor(theta, -omega, d)), axis=1)
+    near = 2.0 * d * np.sin(theta) * np.sin(omega) <= opts.eps
+    planar = near & (1.0 - np.abs(coords.dihedral_cos) <= 1024 * np.finfo(float).eps)
+    mirror = symmetry_vertices(inst) & ~planar
+    width = np.where(planar | mirror, 1, 2).tolist()
+    flip = np.where(planar, 1, -1).astype(np.int8)
+    near, mirror = np.flatnonzero(near & ~planar), mirror.tolist()
+    motors = np.zeros((n + 1, 8))
+    motors[3] = einsum_compose(step_motor(0.0, 0.0, coords.bond_lengths[0]),
+                               step_motor(coords.bond_angles[0], math.pi, coords.bond_lengths[1]))
+    cap = 1 if opts.mode == "first" else opts.max_solutions
+    out, seen, leaves = [], set(), []
+    tried, start = [0] * (n - 3), [0] * (n - 3)
+    v = 4
+    while v > 3:
+        if v > n:
+            leaves.append((points[None].copy(), np.array([[1 if t == 1 else -1 for t in tried]],
+                                                         dtype=np.int8)))
+            if solver._emit(out, seen, *leaves[-1], near, cap):
+                break
+            v -= 1
+            continue
+        k = v - 4
+        if tried[k] == width[k]:
+            tried[k] = 0
+            if mirror[k] and len(leaves) > start[k]:
+                leaves.append(solver._mirror(leaves[start[k]:], points[k:k + 3], k, flip))
+                if solver._emit(out, seen, *leaves[-1], near, cap):
+                    break
+            v -= 1
+            continue
+        if not tried[k]:
+            start[k] = len(leaves)
+        motors[v] = einsum_compose(motors[v - 1], steps[k, tried[k]])
+        tried[k] += 1
+        points[v - 1] = np.einsum("i,j,ijk->k", motors[v], motors[v], ga._ORIGIN_TABLE)
+        if reference_prune_check(points[:v], inst, opts.eps):
+            v += 1
+    return out
+
+
+def einsum_compose(a, b):
+    return np.einsum("...i,...j,ijk->...k", a, b, ga._MOTOR_TABLE)
+
+
+def same_output(got, expected):
+    """Same paths in the same order, with the same coordinate bytes."""
+    return ([str(p) for _, p in got] == [str(p) for _, p in expected]
+            and all(r.tobytes() == q.tobytes() for (r, _), (q, _) in zip(got, expected)))
 
 
 def all_paths(length):
@@ -47,6 +129,29 @@ def solve_counting_nodes(inst, opts=SolveOptions()):
         patch.setattr(solver, "prune_check", counted)
         sols = solve(inst, opts)
     return sols, len(calls)
+
+
+class _OverBudget(Exception):
+    pass
+
+
+def solve_within(inst, opts, nodes):
+    """solve, or None if it walks more than ``nodes`` nodes."""
+    calls = 0
+
+    def counted(partial, instance, eps):
+        nonlocal calls
+        calls += 1
+        if calls > nodes:
+            raise _OverBudget
+        return prune_check(partial, instance, eps)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "prune_check", counted)
+        try:
+            return solve(inst, opts)
+        except _OverBudget:
+            return None
 
 
 def chain_points(torsions, theta=1.91, d=1.526):
@@ -475,3 +580,62 @@ def test_branch_path_round_trip():
         BranchPath.from_string("+x")
     with pytest.raises(ValueError):
         BranchPath((1, 0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(4, 40), seed=st.integers(0, 2**16), extra=st.floats(0.0, 0.3))
+@example(n=13, seed=20, extra=0.15)
+def test_float_walk_matches_the_numpy_walk_on_generated_instances(n, seed, extra):
+    # with few pruning edges the solutions grow as 2^(n - 3), so they are
+    # capped; a long edge and little else leaves 2^(w - u) nodes unpruned
+    # below it, so such draws are skipped
+    inst, _ = generate_instance(n, seed, extra)
+    opts = SolveOptions(max_solutions=256)
+    got = solve_within(inst, opts, nodes=20_000)
+    assume(got is not None)
+    assert same_output(got, reference_solve(inst, opts))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(4, 200), seed=st.integers(0, 2**16), mode=st.sampled_from(["all", "first"]))
+@example(n=200, seed=91, mode="all")
+@example(n=200, seed=322, mode="first")
+def test_float_walk_matches_the_numpy_walk_on_ingested_chains(n, seed, mode):
+    # chains ingested at 5 A prune about half their nodes; seeds 91 and 322
+    # each have a near-coincident vertex
+    _, truth = generate_instance(n, seed, 0.0)
+    inst = ingest_coordinates(format_points(truth), cutoff=5.0)
+    opts = SolveOptions(mode=mode)
+    assert same_output(solve(inst, opts), reference_solve(inst, opts))
+
+
+def test_prune_check_takes_lists_and_arrays_alike(rng):
+    inst, truth = generate_instance(30, 4, 0.3)
+    for v in range(1, 31):
+        bad = truth[:v].copy()
+        bad[-1] += rng.normal(scale=1e-4, size=3)
+        for pts in (truth[:v], bad):
+            expected = reference_prune_check(pts, inst, 1e-4)
+            assert prune_check(pts, inst, 1e-4) == expected
+            assert prune_check([tuple(p) for p in pts.tolist()], inst, 1e-4) == expected
+
+
+def test_nan_distance_prunes():
+    inst, truth = generate_instance(12, 3, 1.0)
+    pts = truth.copy()
+    pts[-1, 0] = math.nan
+    assert not prune_check(pts, inst, 1e-4)
+    assert not prune_check([tuple(p) for p in pts.tolist()], inst, 1e-4)
+    assert not reference_prune_check(pts, inst, 1e-4)
+
+
+def test_solved_instance_is_freed_once_dropped():
+    # the list form of the pruning rows lives on the instance, not in a
+    # cache that would keep every solved instance alive
+    _, truth = generate_instance(60, 1, 0.0)
+    inst = ingest_coordinates(format_points(truth), cutoff=5.0)
+    assert solve(inst)
+    ref = weakref.ref(inst)
+    del inst
+    gc.collect()
+    assert ref() is None
