@@ -9,7 +9,10 @@ internal coordinates both read.  One rule, ``_first_bad_edge``, judges
 its edges however it is made.  A file's edge lines are read by one
 ``np.loadtxt`` call, and the generator and ingestion (one row of pairs
 per vertex) build (u, v, d) arrays, so no Python loop runs over edges
-or pairs.
+or pairs.  The tuple ``Instance.edges`` is built from those arrays on
+its first read: a parse, a solve or a formatted realization makes no
+Python object per edge, so a request leaves the cyclic garbage collector
+next to nothing to track.
 
 File formats owned by this module (text, UTF-8, '#' starts a comment):
 
@@ -21,6 +24,7 @@ File formats owned by this module (text, UTF-8, '#' starts a comment):
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -39,19 +43,22 @@ _EDGE_ROW = np.dtype([("u", np.int64), ("v", np.int64), ("d", float)])
 class Instance:
     """Weighted graph over totally ordered vertices 1..n with exact distances.
 
-    ``edges`` is the tuple of (u, v, d) in input order.  Behind it the
-    instance keeps the clique distances of ``clique_distances``, gathered
-    in one scatter, and the pruning edges (v - u >= 4) as CSR rows by v,
-    input order within a row, which ``pruning_edges`` slices; ``distance``
-    reads both.  ``pruning_lists`` holds the same rows as Python lists, for
-    the search's per-node check.  Every edge must satisfy 1 <= u < v <= n,
-    appear once and have a positive finite distance: the first in input
-    order that does not raises ValueError, with the reason
-    ``_first_bad_edge`` gives it.
+    ``edges`` is the tuple of (u, v, d) in input order, as int, int and
+    float.  The instance keeps the edges as arrays and builds that tuple
+    on the first read of ``edges`` (``==``, ``hash`` and ``repr`` read it),
+    then keeps it.  From the arrays it indexes the clique distances of
+    ``clique_distances``, gathered in one scatter, and the pruning edges
+    (v - u >= 4) as CSR rows by v, input order within a row, which
+    ``pruning_edges`` slices; ``distance`` reads both.  ``pruning_lists``
+    holds the same rows as Python lists, for the search's per-node check.
+    Every edge must satisfy 1 <= u < v <= n, appear once and have a
+    positive finite distance: the first in input order that does not
+    raises ValueError, with the reason ``_first_bad_edge`` gives it.
     """
 
     n: int
     edges: tuple[tuple[int, int, float], ...]
+    _arrays: tuple = field(init=False, repr=False, compare=False)
     _clique: np.ndarray = field(init=False, repr=False, compare=False)
     _far: tuple = field(init=False, repr=False, compare=False)
     _far_lists: tuple = field(init=False, repr=False, compare=False)
@@ -65,7 +72,17 @@ class Instance:
         else:
             u = v = np.empty(0, dtype=np.int64)
             d = np.empty(0)
+        object.__delattr__(self, "edges")   # read back from the arrays, as int, int, float
         self._index(u, v, d)
+
+    def __getattr__(self, name):
+        """Build ``edges`` from the edge arrays the first time it is read
+        (only a missing attribute gets here); keep it from then on."""
+        if name != "edges":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        edges = tuple(zip(*(col.tolist() for col in self._arrays)))
+        object.__setattr__(self, "edges", edges)
+        return edges
 
     @classmethod
     def _from_arrays(cls, n: int, u: np.ndarray, v: np.ndarray, d: np.ndarray) -> "Instance":
@@ -95,7 +112,7 @@ class Instance:
         far_u, far_v, far_d = u[far] - 1, v[far], d[far]
         rows = [0] + np.bincount(far_v, minlength=n + 1).cumsum().tolist()
         for name, value in (
-                ("edges", tuple(zip(u.tolist(), v.tolist(), d.tolist()))),
+                ("_arrays", (u, v, d)),
                 ("_clique", clique),
                 ("_far", (far_u, far_v, far_d)),
                 ("_far_lists", (rows, far_u.tolist(), far_d.tolist()))):
@@ -370,9 +387,17 @@ def parse_points(text: str) -> np.ndarray:
 
 
 def format_points(points) -> str:
+    """``i x y z`` lines for the rows of an (n, 3) array, each coordinate
+    in 17 significant digits, so that it reads back as the same float."""
     points = np.asarray(points, dtype=float)
-    rows = np.column_stack((np.arange(1, len(points) + 1), points))
-    return ("%d %.17g %.17g %.17g\n" * len(points)) % tuple(rows.ravel().tolist())
+    return _points_template(len(points)) % tuple(points.ravel().tolist())
+
+
+@functools.lru_cache(maxsize=16)
+def _points_template(n: int) -> str:
+    """The text of ``format_points`` for n points, with its indices filled
+    in and a ``%.17g`` for each coordinate."""
+    return "".join([f"{i} %.17g %.17g %.17g\n" for i in range(1, n + 1)])
 
 
 def ingest_coordinates(text: str, cutoff: float = 5.0) -> Instance:

@@ -53,6 +53,13 @@ class BranchPath:
         return "".join("+" if s > 0 else "-" for s in self.signs)
 
     @classmethod
+    def _trusted(cls, signs: tuple[int, ...]) -> "BranchPath":
+        """The path of ``signs``, which hold only +1 and -1, without the check."""
+        path = object.__new__(cls)
+        path.__dict__["signs"] = signs
+        return path
+
+    @classmethod
     def from_string(cls, text: str) -> "BranchPath":
         table = {"+": 1, "-": -1}
         try:
@@ -161,7 +168,7 @@ def _emit(out: list, seen: set, pts: np.ndarray, signs: np.ndarray, near: np.nda
                 new.append(k)
         pts, signs = pts[new], signs[new]
     room = len(pts) if cap is None else cap - len(out)
-    out.extend(zip(pts[:room], map(BranchPath, map(tuple, signs[:room].tolist()))))
+    out.extend(zip(pts[:room], map(BranchPath._trusted, map(tuple, signs[:room].tolist()))))
     return len(out) == cap
 
 

@@ -1,12 +1,16 @@
 """Instance model tests: validation, internal coordinates, generation,
 ingestion and the text formats."""
 
+import copy
+import dataclasses
+import gc
 import math
+import pickle
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cgabp.dmdgp import (GENERATOR_BOND_ANGLE, GENERATOR_BOND_LENGTH, Instance,
@@ -61,6 +65,66 @@ class TestInstance:
         assert all(type(u) is int and type(v) is int and type(d) is float
                    for u, v, d in inst.edges)
         assert Instance(4, ()).edges == ()
+
+    @pytest.mark.parametrize("make", ["init", "parse", "generate", "ingest"])
+    def test_edges_are_read_back_from_the_arrays(self, make):
+        _, truth = generate_instance(12, 3, 0.0)
+        gen, gen_truth = generate_instance(12, 3, 0.3)
+        # each instance with the tuple its edges must read as: int, int and
+        # float in input order
+        given = ((2, 3, 1.5), (1, 2, 1), (np.int32(3), np.uint8(4), np.float32(0.5)),
+                 (1, 3, 2.0), (2, 4, 1.75), (1, 4, 3))
+        inst, edges = {
+            "init": lambda: (Instance(4, given),
+                             ((2, 3, 1.5), (1, 2, 1.0), (3, 4, 0.5), (1, 3, 2.0), (2, 4, 1.75),
+                              (1, 4, 3.0))),
+            "parse": lambda: (parse_instance("4 3\n3 4 0.25\n1 2 1e0\n# c\n2 3 2\n"),
+                              ((3, 4, 0.25), (1, 2, 1.0), (2, 3, 2.0))),
+            "generate": lambda: (gen, reference_generated_edges(12, 3, 0.3, gen_truth)),
+            "ingest": lambda: (ingest_coordinates(format_points(truth), cutoff=4.0),
+                               reference_ingested_edges(truth, 4.0)),
+        }[make]()
+        n = inst.n
+        shallow, deep, pickled = copy.copy(inst), copy.deepcopy(inst), pickle.loads(
+            pickle.dumps(inst))   # copied before the tuple is first built
+        assert "edges" not in vars(inst)
+        assert bits(inst.edges) == bits(edges)
+        assert all(type(u) is int and type(v) is int and type(d) is float
+                   for u, v, d in inst.edges)
+        assert inst.edges is inst.edges
+        assert repr(inst) == f"Instance(n={n}, edges={edges!r})"
+        assert hash(inst) == hash((n, edges))
+        for other in (shallow, deep, pickled, copy.deepcopy(inst),
+                      pickle.loads(pickle.dumps(inst)), Instance(n, edges)):
+            assert other == inst and hash(other) == hash(inst) and other.edges == edges
+            assert np.array_equal(other.clique_distances(), inst.clique_distances(),
+                                  equal_nan=True)
+        assert inst != Instance(n, edges[:-1]) and inst != (n, edges)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            inst.edges = ()
+        with pytest.raises(AttributeError, match="no attribute 'missing'"):
+            inst.missing
+
+    def test_parse_and_solve_make_no_object_per_edge(self):
+        # a tuple per edge would be tracked by the cyclic garbage collector,
+        # and a request of a few thousand edges would trigger full collections
+        def tracked_by_parse(n):
+            text = format_instance(generate_instance(n, 1, 0.0)[0])
+            parse_instance(text)
+            gc.collect()
+            gc.disable()
+            try:
+                before = len(gc.get_objects())
+                inst = parse_instance(text)
+                return len(gc.get_objects()) - before, inst
+            finally:
+                gc.enable()
+
+        (small, _), (large, inst) = tracked_by_parse(200), tracked_by_parse(2000)
+        assert small == large < 20
+        sols = solve(inst, SolveOptions(mode="first"))
+        format_points(sols[0][0])
+        assert "edges" not in vars(inst)
 
     def test_lookups(self):
         inst = Instance(6, ((1, 2, 1.0), (2, 3, 2.0), (1, 5, 3.0), (2, 6, 4.0), (1, 6, 5.0)))
@@ -463,6 +527,22 @@ class TestTextFormats:
             "1 -0 9.9999999999999995e-21 -1e+20\n"
             "2 0.10000000000000001 0.33333333333333331 -2.4999999999999999e-07\n"
             "3 123456.789 -7 4.9406564584124654e-324\n")
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(*[st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+        st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2e-308]))] * 3),
+        min_size=1, max_size=40), as_list=st.booleans())
+    @example(rows=[(-0.0, 5e-324, math.nan)], as_list=True)
+    @example(rows=[(math.inf, -math.inf, -0.0)], as_list=False)
+    def test_points_text_matches_column_stack_form(self, rows, as_list):
+        def reference(points):   # one column_stack, and an index column, per call
+            points = np.asarray(points, dtype=float)
+            table = np.column_stack((np.arange(1, len(points) + 1), points))
+            return ("%d %.17g %.17g %.17g\n" * len(points)) % tuple(table.ravel().tolist())
+
+        points = [list(row) for row in rows] if as_list else np.array(rows)
+        assert format_points(points) == reference(points)
 
     @pytest.mark.parametrize("text", [
         "1 0 0\n",              # wrong arity

@@ -8,6 +8,8 @@ module attribute the tracer wraps that is gone, or a ``prune_check`` that
 is no longer called once per search node (``solver.nodes`` counts it).
 """
 
+import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -46,3 +48,15 @@ def test_workload_requests_pass_their_gate(name):
         assert nodes >= case.n - 3
     assert 0.0 < metrics["solver.prune_accept_ratio"][0] <= 1.0
     assert metrics["dmdgp.edges"][0] == len(parse_instance(case.text).edges)
+
+
+def test_gc_probe_reports_passes_by_generation(capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "gc_probe.py"
+    spec = importlib.util.spec_from_file_location("gc_probe", path)
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    assert probe.main(["--workload", "symmetric", "--seed", str(SEED), "--seconds", "0.3"]) == 0
+    report = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert report["requests"] > 0 and report["failed"] == 0
+    assert set(report["passes"]) == set(report["passes_in_requests"]) == {"0", "1", "2"}
+    assert report["slowest"] == min(11, report["requests"])

@@ -377,6 +377,21 @@ class TestSolve:
         assert len(sols) == 1
         assert verify_realization(inst, sols[0][0], 0.03)[0] <= 0.03
 
+    def test_realizations_own_their_memory(self):
+        # a mirrored instance (vertex 4 is always a symmetry vertex), kept while
+        # later solves run, as a caller comparing against a set-up solve does
+        inst, _ = generate_instance(10, 1185723877, 0.07)
+        sols = solve(inst)
+        kept = [(r.copy(), path) for r, path in sols]
+        for other in (inst, generate_instance(10, 3, 0.0)[0], inst):
+            solve(other)
+        assert [str(p) for _, p in sols] == [str(p) for _, p in kept]
+        assert all(np.array_equal(r, k) for (r, _), (k, _) in zip(sols, kept))
+        assert not any(np.shares_memory(a, b) for (a, _), (b, _) in itertools.combinations(sols, 2))
+        # paths made without the sign check are the checked ones
+        assert [p for _, p in sols] == [BranchPath(tuple(p.signs)) for _, p in sols]
+        assert all(type(s) is int for _, p in sols for s in p.signs)
+
     def test_options_validation(self):
         with pytest.raises(ValueError):
             SolveOptions(eps=0.0)
