@@ -15,8 +15,9 @@ gap exceeds the tolerance, any mirror image is missing, any round trip
 differs or the constructors disagree.
 
 With ``--digest`` it only solves and prints one SHA-256 over the branch
-path and the coordinate bytes of every solution, in order, so that two
-checkouts can be compared for identical output in one line each, e.g.
+path, the coordinate bytes and the ``format_points`` text of every
+solution, in order, so that two checkouts can be compared for identical
+output in one line each, e.g.
 ``PYTHONPATH=src python scripts/solve_random.py --digest --sizes 200
 --seed -200 -199 --cutoff 5 --mode first``.  ``--cutoff`` solves the
 ground truth ingested at that radius instead of the generated instance."""
@@ -60,12 +61,13 @@ def instances(args):
 
 
 def digest(args, opts):
-    """SHA-256 over the path and coordinate bytes of every solution, in order."""
+    """SHA-256 over the path, coordinate bytes and text of every solution, in order."""
     sha = hashlib.sha256()
     for _, _, inst, _ in instances(args):
         for r, path in solve(inst, opts):
             sha.update(f"{path}:".encode())
             sha.update(r.tobytes())
+            sha.update(format_points(r).encode())
         sha.update(b";")
     return sha.hexdigest()
 

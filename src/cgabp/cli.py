@@ -57,6 +57,14 @@ def _read_instance(path: str):
         raise SystemExit(2)
 
 
+def _write_text(path, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def _solution_path(base: Path, index: int, total: int) -> Path:
     if total == 1:
         return base
@@ -86,7 +94,7 @@ def _cmd_solve(args) -> int:
         base = Path(args.out)
         for k, (realization, _) in enumerate(solutions, start=1):
             target = _solution_path(base, k, len(solutions))
-            target.write_text(format_points(realization))
+            _write_text(target, format_points(realization))
             print(f"  wrote {target}")
     return 0 if solutions else 1
 
@@ -97,10 +105,10 @@ def _cmd_generate(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    Path(args.out).write_text(format_instance(inst))
+    _write_text(args.out, format_instance(inst))
     print(f"wrote {args.out}: n={inst.n}, {len(inst.edges)} edges")
     if args.truth:
-        Path(args.truth).write_text(format_points(truth))
+        _write_text(args.truth, format_points(truth))
         print(f"wrote {args.truth}")
     return 0
 

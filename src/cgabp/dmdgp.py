@@ -14,6 +14,12 @@ its first read: a parse, a solve or a formatted realization makes no
 Python object per edge, so a request leaves the cyclic garbage collector
 next to nothing to track.
 
+``format_points`` keeps a memo of one entry, the bytes and text of the
+call before it.  Leading rows bit-equal to that call's keep their lines
+of its text, so a search's realizations, which come depth first and
+share the points above the vertex where their paths split, cost one
+formatted row per tree node.  The text never depends on the memo.
+
 File formats owned by this module (text, UTF-8, '#' starts a comment):
 
 * instance file: first data line ``n m``, then m lines ``u v d`` with
@@ -386,11 +392,55 @@ def parse_points(text: str) -> np.ndarray:
     return np.array([rows[i] for i in range(1, n + 1)])
 
 
+_ROW_BYTES = 3 * 8
+_last = (b"", "")   # (points.tobytes(), text) of the last (n, 3) call, replaced as one pair
+
+
 def format_points(points) -> str:
     """``i x y z`` lines for the rows of an (n, 3) array, each coordinate
-    in 17 significant digits, so that it reads back as the same float."""
+    in 17 significant digits, so that it reads back as the same float.
+
+    A one-entry memo holds the bytes and the text of the last (n, 3) call.
+    The leading rows whose bytes equal the last call's keep their lines of
+    its text, and only the rows after them are formatted: consecutive
+    realizations of a search share the points above the vertex where
+    their branch paths split.  Bytes, not floats, are compared, so -0.0
+    never takes the text of 0.0, and the text is the same whatever was
+    formatted before.
+    """
+    global _last
     points = np.asarray(points, dtype=float)
-    return _points_template(len(points)) % tuple(points.ravel().tolist())
+    n = len(points)
+    if points.shape != (n, 3):
+        return _points_template(n) % tuple(points.ravel().tolist())
+    raw = points.tobytes()
+    last_raw, last_text = _last
+    if raw == last_raw:
+        return last_text
+    if raw[:_ROW_BYTES] != last_raw[:_ROW_BYTES]:
+        text = _points_template(n) % tuple(points.ravel().tolist())
+    else:
+        # binary search for k, the number of leading rows whose bytes are equal
+        k, hi = 1, min(n, len(last_raw) // _ROW_BYTES)
+        while k < hi:
+            mid = (k + hi + 1) // 2
+            if raw[:_ROW_BYTES * mid] == last_raw[:_ROW_BYTES * mid]:
+                k = mid
+            else:
+                hi = mid - 1
+        text = last_text[:_line_start(last_text, k)]
+        if k < n:
+            template = _points_template(n)
+            text += template[_line_start(template, k):] % tuple(points[k:].ravel().tolist())
+    _last = (raw, text)
+    return text
+
+
+def _line_start(text: str, k: int) -> int:
+    """Where line k + 1 of a ``format_points`` text or template starts, for
+    k >= 1 (its length if it has k lines): each line starts with its index."""
+    end = text.find(f"\n{k + 1} ")
+    return len(text) if end < 0 else end + 1
 
 
 @functools.lru_cache(maxsize=16)

@@ -72,6 +72,30 @@ def test_missing_file_is_usage_error(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_solve_out_to_missing_directory_is_usage_error(tmp_path, capsys):
+    inst_file = tmp_path / "i.txt"
+    run(["generate", "--n", "6", "--seed", "3", "--out", str(inst_file)])
+    capsys.readouterr()
+    target = tmp_path / "no" / "sols.txt"
+    assert run(["solve", str(inst_file), "--all", "--out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot write {target.with_name('sols_001.txt')}: No such file" in err
+    assert "Traceback" not in err
+
+
+def test_generate_to_missing_directory_is_usage_error(tmp_path, capsys):
+    missing = tmp_path / "no" / "x.txt"
+    assert run(["generate", "--n", "6", "--seed", "3", "--out", str(missing)]) == 2
+    assert f"error: cannot write {missing}: No such file" in capsys.readouterr().err
+    inst_file = tmp_path / "i.txt"
+    assert run(["generate", "--n", "6", "--seed", "3", "--out", str(inst_file),
+                "--truth", str(missing)]) == 2
+    assert f"error: cannot write {missing}: No such file" in capsys.readouterr().err
+    # a directory in place of the file is an input error too
+    assert run(["generate", "--n", "6", "--seed", "3", "--out", str(tmp_path)]) == 2
+    assert f"error: cannot write {tmp_path}: Is a directory" in capsys.readouterr().err
+
+
 def test_invalid_instance_prints_report(tmp_path, capsys):
     from cgabp.dmdgp import Instance
     inst = Instance(4, ((1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (1, 3, 1.5), (2, 4, 1.5)))

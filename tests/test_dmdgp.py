@@ -6,7 +6,10 @@ import dataclasses
 import gc
 import math
 import pickle
+import random
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -20,6 +23,29 @@ from cgabp.dmdgp import (GENERATOR_BOND_ANGLE, GENERATOR_BOND_LENGTH, Instance,
 from cgabp.errors import FileFormatError, InfeasibleInstanceError
 from cgabp.geometry import bond_angle, dihedral_angle, matrix_place_next, verify_realization
 from cgabp.solver import SolveOptions, initialize_first_three, solve
+
+
+def reference_points_text(points):
+    """format_points without template or memo: one column_stack, and an
+    index column, per call."""
+    points = np.asarray(points, dtype=float)
+    table = np.column_stack((np.arange(1, len(points) + 1), points))
+    return ("%d %.17g %.17g %.17g\n" * len(points)) % tuple(table.ravel().tolist())
+
+
+COORDS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2e-308]))
+
+
+def point_rows(count):
+    """(count, 3) float arrays of any coordinates."""
+    return st.lists(st.tuples(COORDS, COORDS, COORDS), min_size=count, max_size=count).map(
+        lambda rows: np.array(rows, dtype=float).reshape(count, 3))
+
+
+def float_with_bits(bits):
+    return float(np.array([bits], dtype=np.uint64).view(float)[0])
 
 
 def quad_instance(pts):
@@ -529,20 +555,94 @@ class TestTextFormats:
             "3 123456.789 -7 4.9406564584124654e-324\n")
 
     @settings(max_examples=200, deadline=None)
-    @given(rows=st.lists(st.tuples(*[st.one_of(
-        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
-        st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2e-308]))] * 3),
-        min_size=1, max_size=40), as_list=st.booleans())
+    @given(rows=st.lists(st.tuples(COORDS, COORDS, COORDS), min_size=1, max_size=40),
+           as_list=st.booleans())
     @example(rows=[(-0.0, 5e-324, math.nan)], as_list=True)
     @example(rows=[(math.inf, -math.inf, -0.0)], as_list=False)
     def test_points_text_matches_column_stack_form(self, rows, as_list):
-        def reference(points):   # one column_stack, and an index column, per call
-            points = np.asarray(points, dtype=float)
-            table = np.column_stack((np.arange(1, len(points) + 1), points))
-            return ("%d %.17g %.17g %.17g\n" * len(points)) % tuple(table.ravel().tolist())
-
         points = [list(row) for row in rows] if as_list else np.array(rows)
-        assert format_points(points) == reference(points)
+        assert format_points(points) == reference_points_text(points)
+
+    @staticmethod
+    def next_points(data, prev, step):
+        """The arrays a step of the memo property formats after ``prev``."""
+        n = len(prev)
+        if step == "share":      # the first k rows of prev, then new rows
+            k = data.draw(st.integers(0, n))
+            return [np.vstack((prev[:k], data.draw(point_rows(n - k))))]
+        if step == "resize":     # the same, at another vertex count
+            m = data.draw(st.integers(1, 20).filter(lambda m: m != n))
+            k = data.draw(st.integers(0, min(n, m)))
+            return [np.vstack((prev[:k], data.draw(point_rows(m - k))))]
+        if step == "repeat":
+            return [prev.copy()]
+        # "tweak": two arrays that differ in the bits of one coordinate only
+        i, c = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, 2))
+        x = prev[i, c] if math.isfinite(prev[i, c]) else 1.0
+        pair = data.draw(st.sampled_from([
+            (0.0, -0.0), (-0.0, 0.0), (x, float(np.nextafter(x, math.inf))),
+            (float_with_bits(0x7FF8000000000001), float_with_bits(0x7FF8000000000002)),
+            (math.nan, float_with_bits(0xFFF8000000000000))]))
+        arrays = [prev.copy(), prev.copy()]
+        for array, value in zip(arrays, pair):
+            array[i, c] = value
+        return arrays
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_points_text_does_not_depend_on_the_call_before(self, data):
+        # each array shares a prefix of rows with the one before; the
+        # sequence holds a bit-level change inside a shared prefix, a new
+        # vertex count and an exact repeat, in any order among other steps
+        steps = ["tweak", "resize", "repeat"] + data.draw(
+            st.lists(st.sampled_from(["share", "tweak", "resize", "repeat"]), max_size=6))
+        arrays = [data.draw(point_rows(data.draw(st.integers(1, 20))))]
+        for step in data.draw(st.permutations(steps)):
+            arrays += self.next_points(data, arrays[-1], step)
+        for points in arrays:
+            form = data.draw(st.sampled_from(["array", "list", "fortran"]))
+            given_points = {"array": points, "list": points.tolist(),
+                            "fortran": np.asfortranarray(points)}[form]
+            assert format_points(given_points) == reference_points_text(points)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_points_text_of_a_solve_in_any_order(self, seed):
+        sols = [r for r, _ in solve(generate_instance(11, seed, 0.0)[0], SolveOptions(mode="all"))]
+        assert len(sols) == 256
+        # consecutive leaves share at least the anchor rows, so the memo reuses text
+        assert all(a[:3].tobytes() == b[:3].tobytes() for a, b in zip(sols, sols[1:]))
+        expected = [reference_points_text(r) for r in sols]
+        shuffled = list(range(256))
+        random.Random(seed).shuffle(shuffled)
+        for order in (range(256), range(255, -1, -1), shuffled):
+            assert [format_points(sols[i]) for i in order] == [expected[i] for i in order]
+
+    def test_points_text_under_threads(self):
+        # three instances whose realizations share their anchor rows, each
+        # formatted by its own thread, with frequent thread switches
+        work = {seed: [r for r, _ in solve(generate_instance(11, seed, 0.0)[0],
+                                           SolveOptions(mode="all"))] for seed in (0, 5, 7)}
+        expected = {seed: [reference_points_text(r) for r in sols] * 40
+                    for seed, sols in work.items()}
+        texts = {}
+        start = threading.Barrier(len(work), timeout=60)
+
+        def run(seed):
+            start.wait()
+            texts[seed] = [format_points(r) for _ in range(40) for r in work[seed]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(seed,)) for seed in work]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert texts == expected
 
     @pytest.mark.parametrize("text", [
         "1 0 0\n",              # wrong arity

@@ -624,6 +624,26 @@ def test_float_walk_matches_the_numpy_walk_on_ingested_chains(n, seed, mode):
     assert same_output(solve(inst, opts), reference_solve(inst, opts))
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(4, 60), seed=st.integers(0, 2**16),
+       direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+           lambda x: math.hypot(*x) >= 0.1))
+def test_translation_does_not_change_the_branch_paths(n, seed, direction):
+    # the ground truth moved 1e2, 1e4 and 1e6 A away and ingested at 5 A
+    # gives the paths of the truth where it was generated
+    _, truth = generate_instance(n, seed, 0.0)
+    unit = np.array(direction) / math.hypot(*direction)
+
+    def paths(points):
+        inst = ingest_coordinates(format_points(points), cutoff=5.0)
+        return [path for _, path in solve(inst, SolveOptions(mode="all"))]
+
+    expected = paths(truth)
+    assert expected
+    for distance in (1e2, 1e4, 1e6):
+        assert paths(truth + distance * unit) == expected
+
+
 def test_prune_check_takes_lists_and_arrays_alike(rng):
     inst, truth = generate_instance(30, 4, 0.3)
     for v in range(1, 31):
