@@ -124,7 +124,7 @@ def _cmd_verify(args) -> int:
         print(f"error: {args.realization}: {exc}", file=sys.stderr)
         return 2
     try:
-        max_viol, worst = verify_realization(inst, points, args.eps)
+        max_viol, worst = verify_realization(inst, points)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,7 +21,6 @@ from .ga import (
     NI,
     NO,
     bivector_exp,
-    compose_motors,
     dual,
     euclidean_vector,
     geometric_product as gp,
@@ -173,20 +172,28 @@ def compute_next_points(a: Multivector, b: Multivector, c: Multivector,
 
 def step_motor(theta, omega, d) -> np.ndarray:
     """8 motor coefficients of one chain step, in the local frame of
-    ``geometry.torsion_matrix``: a twist by ``omega`` about the bond e1, a
-    turn by pi - theta about the frame normal e3, and a move of ``d`` along
-    the new e1.  Each factor has a closed form, so no dense product runs;
-    array arguments broadcast and give one motor per element.
+    ``geometry.torsion_matrix``: the product of a twist by ``omega`` about
+    the bond e1, a turn by pi - theta about the frame normal e3, and a move
+    of ``d`` along the new e1.  Array arguments broadcast and give one
+    motor per element.
 
     As a motion it is ``torsion_matrix(a, b, c)^-1 @ torsion_matrix(b, c, x)``
     for the point ``x`` that ``spherical_offset(theta, omega, d)`` places
     after (a, b, c), so the frame of vertex i is the product of the anchor
     frame's motor with the step motors of vertices 4..i, and the vertex
     itself is that product's image of the origin.
+
+    The product in closed form: with c, s = cos, sin(omega/2), p, q = sin,
+    cos(theta/2) and h = -d/2, the rotor r = (c p, -c q, -s q, -s p), then
+    (r0 h, -r1 h, -r2 h, r3 h), each added to 0.0 as a motor product adds
+    its terms (so -0 becomes +0).  It is checked bit for bit against the
+    product of the three factors by
+    ``test_step_motor_is_the_product_of_its_factors``.
     """
     theta, omega, d = np.broadcast_arrays(theta, omega, d)
-    twist, turn, move = np.zeros((3,) + theta.shape + (8,))
-    twist[..., 0], twist[..., 3] = np.cos(0.5 * omega), -np.sin(0.5 * omega)  # e2 toward e3
-    turn[..., 0], turn[..., 1] = np.sin(0.5 * theta), -np.cos(0.5 * theta)    # e1 toward e2
-    move[..., 0], move[..., 4] = 1.0, -0.5 * d                                 # 1 - (d/2) e1 inf
-    return compose_motors(compose_motors(twist, turn), move)
+    c, s = np.cos(0.5 * omega), np.sin(0.5 * omega)
+    p, q = np.sin(0.5 * theta), np.cos(0.5 * theta)
+    h = -0.5 * d
+    r0, r1, r2, r3 = 0.0 + c * p, 0.0 - c * q, 0.0 - s * q, 0.0 - s * p
+    return np.stack((r0, r1, r2, r3, 0.0 + r0 * h, 0.0 - r1 * h, 0.0 - r2 * h, 0.0 + r3 * h),
+                    axis=-1)

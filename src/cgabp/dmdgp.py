@@ -393,14 +393,14 @@ def parse_points(text: str) -> np.ndarray:
 
 
 _ROW_BYTES = 3 * 8
-_last = (b"", "")   # (points.tobytes(), text) of the last (n, 3) call, replaced as one pair
+_last = (b"", "")   # (points.tobytes(), text) of the last call, replaced as one pair
 
 
 def format_points(points) -> str:
     """``i x y z`` lines for the rows of an (n, 3) array, each coordinate
     in 17 significant digits, so that it reads back as the same float.
 
-    A one-entry memo holds the bytes and the text of the last (n, 3) call.
+    A one-entry memo holds the bytes and the text of the last call.
     The leading rows whose bytes equal the last call's keep their lines of
     its text, and only the rows after them are formatted: consecutive
     realizations of a search share the points above the vertex where
@@ -410,9 +410,9 @@ def format_points(points) -> str:
     """
     global _last
     points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise ValueError(f"expected an (n, 3) array of points, got shape {points.shape}")
     n = len(points)
-    if points.shape != (n, 3):
-        return _points_template(n) % tuple(points.ravel().tolist())
     raw = points.tobytes()
     last_raw, last_text = _last
     if raw == last_raw:

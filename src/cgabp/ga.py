@@ -9,8 +9,8 @@ NO = (em + ep) / 2 (point at the origin) are ordinary values over the
 basis, which keeps the metric diagonal.
 
 Everything here is a pure function of immutable values; the only module
-state is the sign/index tables and the motor tables built once at import
-time, so concurrent use needs no synchronisation.
+state is the sign/index tables built once at import time, so concurrent
+use needs no synchronisation.
 """
 
 from __future__ import annotations
@@ -341,51 +341,15 @@ def motor_from_coeffs(coords) -> Multivector:
     return from_null_basis_coeffs(nb)
 
 
-def _build_motor_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Structure constants of the motor subalgebra on its 8-blade support,
-    and the bilinear map taking a motor to the Euclidean part of its image
-    of the origin, both read off dense products of basis motors."""
-    basis = [motor_from_coeffs(np.eye(8)[k]) for k in range(8)]
-    product = np.zeros((8, 8, 8))
-    origin = np.zeros((8, 8, 3))
-    for i in range(8):
-        for j in range(8):
-            coords, residual = motor_coeffs(geometric_product(basis[i], basis[j]))
-            if residual > 1e-12:
-                raise AssertionError("motor support is not closed under the product")
-            product[i, j] = coords
-            sandwich = geometric_product(geometric_product(basis[i], NO), reverse(basis[j]))
-            origin[i, j] = sandwich.coeffs[[1, 2, 4]]
-    return product, origin
-
-
-_MOTOR_TABLE, _ORIGIN_TABLE = _build_motor_tables()
-_MOTOR_MATRIX = _MOTOR_TABLE.reshape(64, 8)
-
-
-def compose_motors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of two motors given by their 8 support coefficients,
-    broadcast over any leading axes: the 64 pairwise coefficient products
-    times the (64, 8) structure constants, in one matmul."""
-    outer = np.multiply(np.asarray(a)[..., :, None], np.asarray(b)[..., None, :])
-    return outer.reshape(outer.shape[:-2] + (64,)) @ _MOTOR_MATRIX
-
-
-def motor_origin(m: np.ndarray) -> np.ndarray:
-    """Euclidean point M no ~M for a unit motor given by its 8 coefficients."""
-    return np.einsum("i,j,ijk->k", m, m, _ORIGIN_TABLE)
-
-
-# The two maps above for a single motor, on Python floats: the nonzero
-# entries of _MOTOR_TABLE and _ORIGIN_TABLE (all +-1) written out term by
-# term, in the order of the table's (i, j) entries and summed from 0.0, as
-# the array forms sum them, so both give the same bits.  This is the
-# dual-quaternion product; the tests check it against the tables and the
-# array forms.
+# Two motor maps on Python floats, with no dense product behind them: the
+# nonzero (all +-1) terms of the tables that dense products of basis motors
+# give, written out in the tables' (i, j) order and summed from 0.0, as an
+# einsum over the tables sums them, so both give the same bits.  This is
+# the dual-quaternion product; the tests rebuild the tables and check it.
 
 def compose_motor_floats(a, b) -> tuple:
-    """:func:`compose_motors` for one pair of motors, each a sequence of 8
-    floats, without NumPy."""
+    """Product ab of two motors, each a sequence of 8 support coefficients
+    (order as in :func:`motor_coeffs`), as a tuple of 8 floats."""
     a0, a1, a2, a3, a4, a5, a6, a7 = a
     b0, b1, b2, b3, b4, b5, b6, b7 = b
     return (0.0 + a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
@@ -399,9 +363,10 @@ def compose_motor_floats(a, b) -> tuple:
 
 
 def motor_origin_floats(m) -> tuple:
-    """:func:`motor_origin` for one motor, a sequence of 8 floats, without
-    NumPy.  Entries (i, j) and (j, i) of the table multiply the same two
-    coefficients, so each product is formed once and added twice."""
+    """Euclidean point M no ~M of a unit motor M, a sequence of 8 support
+    coefficients, as a tuple of 3 floats.  Entries (i, j) and (j, i) of the
+    map multiply the same two coefficients, so each product is formed once
+    and added twice."""
     m0, m1, m2, m3, m4, m5, m6, m7 = m
     p04, p05, p06, p14, p15, p17 = m0 * m4, m0 * m5, m0 * m6, m1 * m4, m1 * m5, m1 * m7
     p24, p26, p27, p35, p36, p37 = m2 * m4, m2 * m6, m2 * m7, m3 * m5, m3 * m6, m3 * m7

@@ -132,13 +132,11 @@ def matrix_place_next(a, b, c, theta: float, omega: float, d: float):
     return plus, minus
 
 
-def verify_realization(inst, realization, eps: float = 1e-4):
+def verify_realization(inst, realization):
     """Largest absolute distance violation over the instance edges.
 
     Returns ``(max_violation, worst_edge)`` with ``worst_edge = None`` when
-    the edge list is empty.  ``eps`` does not affect the result; it is
-    carried so callers can compare against the same tolerance they solve
-    with.
+    the edge list is empty.
     """
     r = np.asarray(realization, dtype=float)
     if r.shape != (inst.n, 3):

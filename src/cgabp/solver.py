@@ -4,9 +4,9 @@ One iterative depth-first loop serves every mode.  The frame of each
 placed vertex is an 8-coefficient motor; a child composes its parent's
 motor with one of the two step motors of its vertex (torsion +omega or
 -omega), and its point is the new motor's image of the origin.  The step
-motors are built once per solve, as arrays (``ga.compose_motors``, one
-matmul per product); the work per node runs on Python floats, since at 8
-coefficients a NumPy call costs more than its arithmetic: the current
+motors are built once per solve, as arrays, in closed form by
+``conformal.step_motor``; the work per node runs on Python floats, since at
+8 coefficients a NumPy call costs more than its arithmetic: the current
 path is a list of point tuples, the parent motors 8-tuples, composed by
 ``ga.compose_motor_floats`` and mapped by ``ga.motor_origin_floats``, and
 the prune check loops over the vertex's row of ``Instance.pruning_lists``.
@@ -35,7 +35,7 @@ from .conformal import (carrier_plane, compute_next_points,  # noqa: F401
                         embed_point, extract_point, reflect_in_plane, step_motor)
 from .dmdgp import Instance, InternalCoords, internal_coordinates, validate_instance
 from .errors import InfeasibleInstanceError, InvalidInstanceError
-from .ga import compose_motor_floats, compose_motors, motor_origin_floats
+from .ga import compose_motor_floats, motor_origin_floats
 from .geometry import verify_realization
 
 
@@ -233,9 +233,9 @@ def solve(inst: Instance, opts: SolveOptions = SolveOptions()):
     # (bond angle 0) reaches x2 and a step with torsion pi reaches x3, the
     # anchor frame.
     frames = [None] * (n + 1)
-    frames[3] = compose_motors(step_motor(0.0, 0.0, coords.bond_lengths[0]),
-                               step_motor(coords.bond_angles[0], math.pi,
-                                          coords.bond_lengths[1])).tolist()
+    frames[3] = compose_motor_floats(step_motor(0.0, 0.0, coords.bond_lengths[0]).tolist(),
+                                     step_motor(coords.bond_angles[0], math.pi,
+                                                coords.bond_lengths[1]).tolist())
     path = [tuple(p) for p in initialize_first_three(coords).tolist()]   # points of 1..v-1
     eps = opts.eps
     cap = 1 if opts.mode == "first" else opts.max_solutions
@@ -315,7 +315,7 @@ def expand_by_symmetry(base, targets, inst: Instance, eps: float = 1e-4):
                 r = reflect_suffix(r, vertex)
                 for j in range(k, len(signs)):
                     signs[j] = -signs[j]
-        max_viol, _ = verify_realization(inst, r, eps)
+        max_viol, _ = verify_realization(inst, r)
         if max_viol <= eps:
             out.append(r)
     return out

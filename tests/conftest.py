@@ -1,9 +1,13 @@
-"""Shared test helpers: independent scalar-algebra oracles and input generators."""
+"""Shared test helpers: independent scalar-algebra oracles, the motor tables
+read off the dense kernel, and input generators."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+
+from cgabp import ga
 
 
 def radii_from_internal(d_ab, d_ac, d_bc, theta, omega, d):
@@ -49,6 +53,39 @@ def random_placement_case(rng, theta_lo=0.2, theta_hi=None):
     omega = rng.uniform(-math.pi, math.pi)
     d = rng.uniform(0.5, 2.0)
     return a, b, c, theta, omega, d
+
+
+@functools.cache
+def motor_tables():
+    """Structure constants of the motor subalgebra on its 8-blade support,
+    (8, 8, 8), and the bilinear map taking a motor to the Euclidean part of
+    its image of the origin, (8, 8, 3), both read off dense products of
+    basis motors."""
+    basis = [ga.motor_from_coeffs(np.eye(8)[k]) for k in range(8)]
+    product = np.zeros((8, 8, 8))
+    origin = np.zeros((8, 8, 3))
+    for i in range(8):
+        for j in range(8):
+            coords, residual = ga.motor_coeffs(ga.geometric_product(basis[i], basis[j]))
+            if residual > 1e-12:
+                raise AssertionError("motor support is not closed under the product")
+            product[i, j] = coords
+            sandwich = ga.geometric_product(ga.geometric_product(basis[i], ga.NO),
+                                            ga.reverse(basis[j]))
+            origin[i, j] = sandwich.coeffs[[1, 2, 4]]
+    product.flags.writeable = origin.flags.writeable = False
+    return product, origin
+
+
+def einsum_compose(a, b):
+    """Product of motors given by their 8 coefficients, over the dense
+    tables, broadcast over leading axes."""
+    return np.einsum("...i,...j,ijk->...k", a, b, motor_tables()[0])
+
+
+def einsum_origin(m):
+    """A motor's image of the origin over the dense tables."""
+    return np.einsum("i,j,ijk->k", m, m, motor_tables()[1])
 
 
 @pytest.fixture

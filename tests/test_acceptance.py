@@ -172,7 +172,7 @@ def test_criterion_7_symmetric_bp_equivalence():
                     pts.append(matrix_place_next(pts[-3], pts[-2], pts[-1],
                                                  coords.bond_angles[k + 1], sign * omega[k],
                                                  coords.bond_lengths[k + 2])[0])
-                if verify_realization(inst, np.array(pts), eps)[0] <= eps:
+                if verify_realization(inst, np.array(pts))[0] <= eps:
                     brute.append((signs, np.array(pts)))
             full = solve(inst, SolveOptions(eps=eps, mode="all"))
             same = [s for s, _ in brute] == [p.signs for _, p in full]

@@ -6,7 +6,9 @@ import pytest
 from cgabp import ga
 from cgabp.bench import (MATRIX_COEFF_COUNT, MOTOR_COEFF_COUNT, BenchReport,
                          _random_motor_and_matrix, _random_placement_inputs,
-                         bench_compose, bench_placement, compose_motors)
+                         bench_compose, bench_placement)
+
+from conftest import einsum_compose
 
 
 def test_compose_report_fields():
@@ -28,15 +30,16 @@ def test_placement_report_fields():
     assert report.storage_coefficients_matrix == MATRIX_COEFF_COUNT
 
 
-def test_compose_motors_matches_dense_product(rng):
+def test_compose_motor_floats_matches_dense_product(rng):
     for _ in range(50):
         a = rng.uniform(-1, 1, 8)
         b = rng.uniform(-1, 1, 8)
-        via_table = compose_motors(a, b)
+        product = np.array(ga.compose_motor_floats(a.tolist(), b.tolist()))
+        assert product.tobytes() == einsum_compose(a, b).tobytes()
         dense = ga.geometric_product(ga.motor_from_coeffs(a), ga.motor_from_coeffs(b))
         expected, residual = ga.motor_coeffs(dense)
         assert residual <= 1e-12  # the support is closed under the product
-        assert np.max(np.abs(via_table - expected)) <= 1e-12
+        assert np.max(np.abs(product - expected)) <= 1e-12
 
 
 def test_motor_and_matrix_are_the_same_motion(rng):

@@ -19,7 +19,7 @@ from cgabp.ga import NI, NO, geometric_product as gp, reverse, scalar_product as
 from cgabp.geometry import (bond_angle, dihedral_angle, matrix_place_next, torsion_matrix,
                             trilaterate)
 
-from conftest import (angle_gap, householder_reflect, radii_from_internal,
+from conftest import (angle_gap, einsum_compose, householder_reflect, radii_from_internal,
                       random_placement_case)
 
 coords3 = arrays(np.float64, 3, elements=st.floats(-10.0, 10.0))
@@ -255,3 +255,35 @@ class TestStepMotor:
             x = matrix_place_next(a, b, c, theta, omega, d)[0]
             via_motor = torsion_matrix(a, b, c) @ self.as_matrix(step_motor(theta, omega, d))
             assert np.max(np.abs(via_motor - torsion_matrix(b, c, x))) <= 1e-10
+
+    # theta in [0, pi) and omega in [-pi, pi], with the signed zeros and +-pi
+    # drawn often: they give zero coefficients, whose sign shows every term
+    thetas = st.one_of(st.floats(0.0, math.pi, exclude_max=True), st.sampled_from([0.0, -0.0]))
+    omegas = st.one_of(st.floats(-math.pi, math.pi),
+                       st.sampled_from([0.0, -0.0, math.pi, -math.pi]))
+    lengths = st.floats(1e-3, 1e3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(shape=st.sampled_from(["scalar", "vector", "broadcast"]), data=st.data())
+    def test_step_motor_is_the_product_of_its_factors(self, shape, data):
+        """Bit for bit: the twist, the turn and the move as 8-coefficient
+        motors, composed by the einsum over the dense tables."""
+        if shape == "scalar":
+            args = [data.draw(s) for s in (self.thetas, self.omegas, self.lengths)]
+        else:
+            k = data.draw(st.integers(1, 5))
+            shapes = [(k,)] * 3
+            if shape == "broadcast":
+                shapes = [(3, 4)] * 3
+                shapes[data.draw(st.integers(0, 2))] = (4,)
+            args = [data.draw(arrays(np.float64, sh, elements=s))
+                    for sh, s in zip(shapes, (self.thetas, self.omegas, self.lengths))]
+        theta, omega, d = np.broadcast_arrays(*args)
+        twist, turn, move = np.zeros((3,) + theta.shape + (8,))
+        # twist: e2 toward e3; turn: e1 toward e2; move: 1 - (d/2) e1 inf
+        twist[..., 0], twist[..., 3] = np.cos(0.5 * omega), -np.sin(0.5 * omega)
+        turn[..., 0], turn[..., 1] = np.sin(0.5 * theta), -np.cos(0.5 * theta)
+        move[..., 0], move[..., 4] = 1.0, -0.5 * d
+        expected = einsum_compose(einsum_compose(twist, turn), move)
+        got = step_motor(*args)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()

@@ -563,6 +563,17 @@ class TestTextFormats:
         points = [list(row) for row in rows] if as_list else np.array(rows)
         assert format_points(points) == reference_points_text(points)
 
+    @pytest.mark.parametrize("shape", [(3, 2), (3,), (2, 3, 1), (2, 1, 3)], ids=str)
+    def test_points_of_another_shape_are_rejected(self, shape):
+        points = np.arange(1.0, 1.0 + math.prod(shape)).reshape(shape)
+        valid = np.arange(12.0).reshape(4, 3)
+        format_points(valid[:3])
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            format_points(points)
+        # the rejected call leaves the memo to the call before it
+        assert format_points(valid) == reference_points_text(valid)
+        assert format_points(np.zeros((0, 3))) == ""
+
     @staticmethod
     def next_points(data, prev, step):
         """The arrays a step of the memo property formats after ``prev``."""

@@ -14,6 +14,8 @@ from cgabp.ga import (DIM, E1, E2, E3, EM, EP, I5, I5_SQ, NI, NO, Multivector,
                       outer_product as op, reverse, scalar, scalar_product as sp,
                       versor_apply, versor_inverse)
 
+from conftest import einsum_compose, einsum_origin, motor_tables
+
 coeff_arrays = arrays(np.float64, DIM, elements=st.floats(-1.0, 1.0))
 multivectors = coeff_arrays.map(Multivector)
 vec3 = arrays(np.float64, 3, elements=st.floats(-2.0, 2.0))
@@ -227,7 +229,7 @@ def test_motor_origin_matches_dense_sandwich(rng):
         translator = scalar(1.0) - gp(ga.euclidean_vector(rng.uniform(-3, 3, 3)), NI) * 0.5
         motor = gp(translator, rotor)
         dense = gp(gp(motor, NO), reverse(motor))
-        got = ga.motor_origin(ga.motor_coeffs(motor)[0])
+        got = np.array(ga.motor_origin_floats(ga.motor_coeffs(motor)[0].tolist()))
         assert np.max(np.abs(got - dense.coeffs[[1, 2, 4]])) <= 1e-12
 
 
@@ -245,16 +247,6 @@ def test_multivector_immutable():
         E1.coeffs[0] = 1.0
 
 
-# The einsum forms of the motor maps, the array code before the matmul and
-# the float forms: the oracles those must equal bit for bit.
-def einsum_compose(a, b):
-    return np.einsum("...i,...j,ijk->...k", a, b, ga._MOTOR_TABLE)
-
-
-def einsum_origin(m):
-    return np.einsum("i,j,ijk->k", m, m, ga._ORIGIN_TABLE)
-
-
 # finite coefficients across many magnitudes, exact zeros of either sign
 motor_floats = st.one_of(st.floats(-1e6, 1e6, allow_subnormal=False),
                          st.sampled_from([0.0, -0.0, 1.0, -1.0]))
@@ -262,8 +254,7 @@ motor_vectors = arrays(np.float64, 8, elements=motor_floats)
 
 
 def test_float_motor_maps_match_the_dense_tables():
-    # rebuilt from dense products of basis motors, not the module's copies
-    product, origin = ga._build_motor_tables()
+    product, origin = motor_tables()
     eye = np.eye(8).tolist()
     for i in range(8):
         assert ga.motor_origin_floats(eye[i]) == tuple(origin[i, i])
@@ -282,21 +273,3 @@ def test_float_motor_maps_are_bit_equal_to_einsum(a, b):
     got = np.array(ga.compose_motor_floats(a.tolist(), b.tolist()))
     assert got.tobytes() == einsum_compose(a, b).tobytes()
     assert np.array(ga.motor_origin_floats(a.tolist())).tobytes() == einsum_origin(a).tobytes()
-    assert ga.motor_origin(a).tobytes() == einsum_origin(a).tobytes()
-
-
-@settings(max_examples=100, deadline=None)
-@given(shape=st.sampled_from([(), (1,), (3,), (7, 2), (257,)]),
-       broadcast=st.sampled_from(["none", "left", "right", "outer"]),
-       data=st.data())
-def test_matmul_compose_is_bit_equal_to_einsum(shape, broadcast, data):
-    a = data.draw(arrays(np.float64, shape + (8,), elements=motor_floats))
-    b = data.draw(arrays(np.float64, shape + (8,), elements=motor_floats))
-    if broadcast == "left":
-        a = a.reshape(-1, 8)[0]
-    elif broadcast == "right":
-        b = b.reshape(-1, 8)[0]
-    elif broadcast == "outer":
-        a, b = a[..., None, :], b.reshape(-1, 8)[:2]
-    got, expected = ga.compose_motors(a, b), einsum_compose(a, b)
-    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()

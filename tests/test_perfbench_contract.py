@@ -4,12 +4,14 @@ Each workload of perfbench/workloads.py is built at one seed and sent one
 untraced and one traced request through its correctness gate, and the
 per-layer metrics are computed from the trace.  This catches, without a
 30 s benchmark run, a solver change that makes a set-up request fail, a
-module attribute the tracer wraps that is gone, or a ``prune_check`` that
-is no longer called once per search node (``solver.nodes`` counts it).
+module attribute the tracer wraps that is gone, a ``prune_check`` that
+is no longer called once per search node (``solver.nodes`` counts it), or
+a ``cgabp.bench`` kernel that every run times, and cross-checks, first.
 """
 
 import importlib.util
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -17,7 +19,8 @@ import pytest
 
 from cgabp.dmdgp import parse_instance
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 import tracing  # noqa: E402
 import workloads  # noqa: E402
@@ -50,11 +53,26 @@ def test_workload_requests_pass_their_gate(name):
     assert metrics["dmdgp.edges"][0] == len(parse_instance(case.text).edges)
 
 
+def load_script(path, name):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_kernel_metrics_are_positive_and_finite():
+    # every perfbench/run.py run times the cgabp.bench kernels, and runs
+    # their cross-checks, before its loop; a failure there exits 1
+    run = load_script(ROOT / "perfbench" / "run.py", "perfbench_run")
+    metrics = run.kernel_metrics(SEED)
+    assert set(metrics) == {f"bench.{op}_us.{rep}" for op in ("placement", "compose")
+                            for rep in ("versor", "matrix")}
+    for value, unit in metrics.values():
+        assert unit == "us" and math.isfinite(value) and value > 0
+
+
 def test_gc_probe_reports_passes_by_generation(capsys):
-    path = Path(__file__).resolve().parents[1] / "scripts" / "gc_probe.py"
-    spec = importlib.util.spec_from_file_location("gc_probe", path)
-    probe = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(probe)
+    probe = load_script(ROOT / "scripts" / "gc_probe.py", "gc_probe")
     assert probe.main(["--workload", "symmetric", "--seed", str(SEED), "--seconds", "0.3"]) == 0
     report = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert report["requests"] > 0 and report["failed"] == 0

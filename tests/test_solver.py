@@ -17,10 +17,12 @@ from cgabp.dmdgp import (Instance, format_points, generate_instance, ingest_coor
                          internal_coordinates, validate_instance)
 from cgabp.errors import DegenerateGeometryError, InfeasibleInstanceError, InvalidInstanceError
 from cgabp.geometry import bond_angle, matrix_place_next, verify_realization
-from cgabp import ga, solver
+from cgabp import solver
 from cgabp.solver import (BranchPath, SolveOptions, expand_by_symmetry,
                           initialize_first_three, prune_check, reflect_suffix,
                           solve, symmetry_vertices)
+
+from conftest import einsum_compose, einsum_origin
 
 
 def reference_prune_check(partial, inst, eps):
@@ -86,14 +88,10 @@ def reference_solve(inst, opts=SolveOptions()):
             start[k] = len(leaves)
         motors[v] = einsum_compose(motors[v - 1], steps[k, tried[k]])
         tried[k] += 1
-        points[v - 1] = np.einsum("i,j,ijk->k", motors[v], motors[v], ga._ORIGIN_TABLE)
+        points[v - 1] = einsum_origin(motors[v])
         if reference_prune_check(points[:v], inst, opts.eps):
             v += 1
     return out
-
-
-def einsum_compose(a, b):
-    return np.einsum("...i,...j,ijk->...k", a, b, ga._MOTOR_TABLE)
 
 
 def same_output(got, expected):
@@ -375,7 +373,7 @@ class TestSolve:
         inst = rounded(21)
         sols = solve(inst, SolveOptions(eps=0.03, mode="first"))
         assert len(sols) == 1
-        assert verify_realization(inst, sols[0][0], 0.03)[0] <= 0.03
+        assert verify_realization(inst, sols[0][0])[0] <= 0.03
 
     def test_realizations_own_their_memory(self):
         # a mirrored instance (vertex 4 is always a symmetry vertex), kept while
@@ -488,7 +486,7 @@ def test_every_solution_satisfies_every_edge(n, seed, extra):
     inst, _ = generate_instance(n, seed, extra)
     eps = 1e-4
     for r, _ in solve(inst, SolveOptions(eps=eps)):
-        assert verify_realization(inst, r, eps)[0] <= eps
+        assert verify_realization(inst, r)[0] <= eps
 
 
 @settings(max_examples=40, deadline=None)
