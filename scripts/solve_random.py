@@ -72,7 +72,7 @@ def digest(args, opts):
     return sha.hexdigest()
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--sizes", type=int, nargs="+", default=[8, 12, 20, 40])
     ap.add_argument("--seed", type=int, nargs="+", default=[0])
@@ -80,7 +80,7 @@ def main():
     ap.add_argument("--cutoff", type=float, default=None)
     ap.add_argument("--mode", choices=("all", "first"), default="all")
     ap.add_argument("--digest", action="store_true")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     opts = SolveOptions(mode=args.mode)
     if args.digest:
         print(digest(args, opts))

@@ -2,17 +2,18 @@
 discretizability validation, internal-coordinate extraction, synthetic
 instance generation and coordinate-file ingestion.
 
-An ``Instance`` holds its edges as arrays, indexed once when it is made:
-the pruning edges (v - u >= 4) as CSR rows by v, and d(i-1, i), d(i-2, i)
-and d(i-3, i) gathered into one (n, 3) array, which validation and the
-internal coordinates both read.  One rule, ``_first_bad_edge``, judges
-its edges however it is made.  A file's edge lines are read by one
-``np.loadtxt`` call, and the generator and ingestion (one row of pairs
-per vertex) build (u, v, d) arrays, so no Python loop runs over edges
-or pairs.  The tuple ``Instance.edges`` is built from those arrays on
-its first read: a parse, a solve or a formatted realization makes no
-Python object per edge, so a request leaves the cyclic garbage collector
-next to nothing to track.
+An ``Instance`` keeps its edges in one place, the (u, v, d) arrays it
+was made from, and indexes them once: d(i-1, i), d(i-2, i) and d(i-3, i)
+gathered into one (n, 3) array, which validation and the internal
+coordinates both read, and the pruning edges (v - u >= 4) as lists in
+CSR rows by v, which the search reads.  One rule, ``_first_bad_edge``,
+judges its edges however it is made.  A file's edge lines are read by
+one ``np.loadtxt`` call, and the generator and ingestion (one row of
+pairs per vertex) build (u, v, d) arrays, so no Python loop runs over
+edges or pairs.  The tuple ``Instance.edges`` is built from those arrays
+on its first read: a parse, a solve, a verification or a formatted
+realization makes no Python object per edge, so a request leaves the
+cyclic garbage collector next to nothing to track.
 
 ``format_points`` keeps a memo of one entry, the bytes and text of the
 call before it.  Leading rows bit-equal to that call's keep their lines
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FileFormatError, InfeasibleInstanceError
-from .geometry import matrix_place_next
+from .geometry import lengths, matrix_place_next
 
 GENERATOR_BOND_LENGTH = 1.526   # angstroms, conventional backbone value
 GENERATOR_BOND_ANGLE = 1.91     # radians
@@ -50,23 +51,21 @@ class Instance:
     """Weighted graph over totally ordered vertices 1..n with exact distances.
 
     ``edges`` is the tuple of (u, v, d) in input order, as int, int and
-    float.  The instance keeps the edges as arrays and builds that tuple
-    on the first read of ``edges`` (``==``, ``hash`` and ``repr`` read it),
-    then keeps it.  From the arrays it indexes the clique distances of
-    ``clique_distances``, gathered in one scatter, and the pruning edges
-    (v - u >= 4) as CSR rows by v, input order within a row, which
-    ``pruning_edges`` slices; ``distance`` reads both.  ``pruning_lists``
-    holds the same rows as Python lists, for the search's per-node check.
-    Every edge must satisfy 1 <= u < v <= n, appear once and have a
-    positive finite distance: the first in input order that does not
-    raises ValueError, with the reason ``_first_bad_edge`` gives it.
+    float.  The instance keeps the edges as the arrays of ``edge_arrays``
+    and builds that tuple on the first read of ``edges`` (``==``, ``hash``
+    and ``repr`` read it), then keeps it.  From the arrays it indexes the
+    clique distances of ``clique_distances``, gathered in one scatter, and
+    the pruning edges (v - u >= 4) of ``pruning_lists``, in CSR rows by v,
+    input order within a row.  Every edge must satisfy 1 <= u < v <= n,
+    appear once and have a positive finite distance: the first in input
+    order that does not raises ValueError, with the reason
+    ``_first_bad_edge`` gives it.
     """
 
     n: int
     edges: tuple[tuple[int, int, float], ...]
     _arrays: tuple = field(init=False, repr=False, compare=False)
     _clique: np.ndarray = field(init=False, repr=False, compare=False)
-    _far: tuple = field(init=False, repr=False, compare=False)
     _far_lists: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -115,44 +114,25 @@ class Instance:
         clique.flags.writeable = False
         far = (~near).nonzero()[0]
         far = far[v[far].argsort(kind="stable")]
-        far_u, far_v, far_d = u[far] - 1, v[far], d[far]
-        rows = [0] + np.bincount(far_v, minlength=n + 1).cumsum().tolist()
+        rows = [0] + np.bincount(v[far], minlength=n + 1).cumsum().tolist()
+        for col in (u, v, d):
+            col.flags.writeable = False
         for name, value in (
                 ("_arrays", (u, v, d)),
                 ("_clique", clique),
-                ("_far", (far_u, far_v, far_d)),
-                ("_far_lists", (rows, far_u.tolist(), far_d.tolist()))):
+                ("_far_lists", (rows, (u[far] - 1).tolist(), d[far].tolist()))):
             object.__setattr__(self, name, value)
 
-    def distance(self, u: int, v: int) -> float | None:
-        if u > v:
-            u, v = v, u
-        if not 1 <= u < v <= self.n:
-            return None
-        if v - u <= 3:
-            d = float(self._clique[v - 1, v - u - 1])
-            return None if math.isnan(d) else d
-        far_u, d = self.pruning_edges(v)
-        hit = (far_u == u - 1).nonzero()[0]
-        return float(d[hit[0]]) if hit.size else None
-
-    def pruning_edges(self, v: int) -> tuple[np.ndarray, np.ndarray]:
-        """The edges (u, v) with v - u >= 4, the only ones that can prune a
-        placement of v, as arrays of 0-based u and of d, in input order."""
-        rows = self._far_lists[0]
-        lo, hi = rows[v], rows[v + 1]
-        u, _, d = self._far
-        return u[lo:hi], d[lo:hi]
-
-    def pruning_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every pruning edge, as arrays of 0-based u, of v and of d ordered
-        by v (input order within one v): the rows ``pruning_edges`` slices."""
-        return self._far
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only arrays of the 1-based u, of v and of d of every edge,
+        in input order: the arrays the instance was made from."""
+        return self._arrays
 
     def pruning_lists(self) -> tuple[list, list, list]:
-        """The rows of ``pruning_edges`` as Python lists: the edges of v are
-        entries ``rows[v]`` to ``rows[v + 1] - 1`` of the lists of 0-based u
-        and of d.  A loop over a few of them needs no NumPy call."""
+        """The pruning edges (u, v) with v - u >= 4, the only ones that can
+        prune a placement of v, as Python lists: the edges of v are entries
+        ``rows[v]`` to ``rows[v + 1] - 1`` of the lists of 0-based u and of
+        d, in input order.  A loop over a few of them needs no NumPy call."""
         return self._far_lists
 
     def clique_distances(self) -> np.ndarray:
@@ -237,14 +217,15 @@ def internal_coordinates(inst: Instance) -> InternalCoords:
     with it the placed d(i-3, i); the clique's miss is that move, in
     angstroms, for the caller to judge against its tolerance.  A triangle
     with |cos(theta)| >= 1 is collinear or worse, fixes no torsion frame,
-    and raises InfeasibleInstanceError.
+    and raises InfeasibleInstanceError; so does a NaN cosine, which
+    distances whose squares overflow give.
     """
     dist = inst.clique_distances()
     d1, d2, d3 = dist[1:, 0], dist[2:, 1], dist[3:, 2]
     sq1, sq2, sq3 = d1 * d1, d2 * d2, d3 * d3
     dots = 0.5 * (sq2 - sq1[:-1] - sq1[1:])          # b_k . b_(k+1)
     cos_theta = -dots / (d1[:-1] * d1[1:])
-    flat = np.abs(cos_theta) >= 1.0
+    flat = ~(np.abs(cos_theta) < 1.0)   # a NaN cosine, from an overflow, fails too
     if flat.any():
         v = int(flat.argmax()) + 1
         raise InfeasibleInstanceError(f"triangle {(v, v + 1, v + 2)} admits no embedding")
@@ -290,12 +271,7 @@ def generate_instance(n: int, seed: int, extra_edge_fraction: float = 0.0):
         far = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), 4))  # those, in key order
         keys = np.sort(np.concatenate((keys, far[rng.choice(far.size, size=k, replace=False)])))
     u, v = np.divmod(keys, n)
-    return Instance._from_arrays(n, u + 1, v + 1, _lengths(pts[u] - pts[v])), pts
-
-
-def _lengths(diff: np.ndarray) -> np.ndarray:
-    """Length of each row of ``diff``, bit-equal to ``np.linalg.norm`` (the same dot)."""
-    return np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
+    return Instance._from_arrays(n, u + 1, v + 1, lengths(pts[u] - pts[v])), pts
 
 
 # -- text formats -------------------------------------------------------------
@@ -460,7 +436,7 @@ def ingest_coordinates(text: str, cutoff: float = 5.0) -> Instance:
         raise FileFormatError(1, f"need at least 4 points, got {n}")
     gaps, ds = [], []
     for u in range(n - 1):   # one row of pairs (u, v > u) at a time, to hold only the kept ones
-        d = _lengths(pts[u] - pts[u + 1:])
+        d = lengths(pts[u] - pts[u + 1:])
         keep = d <= cutoff
         keep[:3] = True       # chain distance <= 3
         gaps.append(keep.nonzero()[0] + 1)

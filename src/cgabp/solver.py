@@ -129,9 +129,10 @@ def symmetry_vertices(inst: Instance) -> np.ndarray:
     starts on the plane of v-3..v-1, so reflecting the suffix through that
     plane keeps every distance.
     """
-    u0, w, _ = inst.pruning_arrays()
+    u, w, _ = inst.edge_arrays()
+    far = w - u >= 4
     size = inst.n + 2
-    cover = np.bincount(u0 + 5, minlength=size) - np.bincount(w + 1, minlength=size)
+    cover = np.bincount(u[far] + 4, minlength=size) - np.bincount(w[far] + 1, minlength=size)
     return cover.cumsum()[4:inst.n + 1] == 0
 
 
@@ -179,7 +180,10 @@ def solve(inst: Instance, opts: SolveOptions = SolveOptions()):
     depth-first order (the + branch is explored before -).  An instance
     with no realization yields an empty list: so does one with a triangle
     that does not embed or a 4-clique that misses its own distance by more
-    than ``eps``.  A non-discretizable instance raises InvalidInstanceError.
+    than ``eps`` (a NaN, from distances whose squares overflow, misses by
+    more).  An instance of one or two vertices has one realization, the
+    first points of the anchor, with an empty branch path.  A
+    non-discretizable instance raises InvalidInstanceError.
     All step motors are built at once, in closed form.
 
     A vertex whose two placements lie within ``eps`` of each other
@@ -210,9 +214,13 @@ def solve(inst: Instance, opts: SolveOptions = SolveOptions()):
         coords = internal_coordinates(inst)
     except InfeasibleInstanceError:
         return []
-    if np.any(coords.clique_miss > opts.eps):
+    if not np.all(coords.clique_miss <= opts.eps):   # a NaN miss fails too
         return []
     n = inst.n
+    if n < 3:   # no bond angle: the first n points of the anchor are the one realization
+        pts = np.zeros((n, 3))
+        pts[1:, 0] = -coords.bond_lengths
+        return [(pts, BranchPath(()))]
     theta, d = coords.bond_angles[1:], coords.bond_lengths[2:]
     omega = np.arccos(coords.dihedral_cos)
     # steps[k][0] and steps[k][1] place vertex k + 4 at torsion +omega and -omega

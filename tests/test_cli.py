@@ -1,13 +1,16 @@
 """End-to-end command-line tests through cli.run."""
 
+import math
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from cgabp.cli import run
-from cgabp.dmdgp import Instance, format_instance, generate_instance, parse_points
+from cgabp.dmdgp import Instance, format_instance, format_points, generate_instance, parse_points
 
 
 def test_generate_solve_verify_round_trip(tmp_path, capsys):
@@ -109,12 +112,36 @@ def test_invalid_instance_prints_report(tmp_path, capsys):
 def test_no_solutions_exit_code(tmp_path):
     inst, _ = generate_instance(5, 4, 0.0)
     edges = [(u, v, d) for u, v, d in inst.edges if (u, v) != (1, 4)]
-    bound = inst.distance(1, 2) + inst.distance(2, 3) + inst.distance(3, 4)
+    bound = sum(d for u, v, d in edges if v - u == 1 and v <= 4)
     edges.append((1, 4, bound + 1.0))
     from cgabp.dmdgp import Instance
     path = tmp_path / "inf.txt"
     path.write_text(format_instance(Instance(5, tuple(sorted(edges)))))
     assert run(["solve", str(path), "--all"]) == 1
+
+
+@pytest.mark.parametrize("vertex", [5, 6, 7, 8])
+def test_verify_fails_on_a_nan_vertex(tmp_path, capsys, vertex):
+    # a NaN distance is the worst violation, wherever its first edge is
+    inst, truth = generate_instance(8, 1, 0.0)
+    truth[vertex - 1] = math.nan
+    inst_file, points_file = tmp_path / "i.txt", tmp_path / "p.txt"
+    inst_file.write_text(format_instance(inst))
+    points_file.write_text(format_points(truth))
+    assert run(["verify", str(inst_file), str(points_file)]) == 1
+    first = next((u, v) for u, v, _ in inst.edges if vertex in (u, v))
+    assert f"max violation: nan on edge {first}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text", ["1 0\n", "2 1\n1 2 1.0\n",
+                                  "3 3\n1 2 1.0\n2 3 1.5\n1 3 2.0\n"])
+def test_short_instances_have_one_solution(tmp_path, capsys, text):
+    path = tmp_path / "short.txt"
+    path.write_text(text)
+    out = tmp_path / "sol.txt"
+    assert run(["solve", str(path), "--all", "--out", str(out)]) == 0
+    assert "solutions: 1\n  1: \n" in capsys.readouterr().out
+    assert parse_points(out.read_text()).shape == (int(text[0]), 3)
 
 
 def test_infeasible_triangle_reports_no_solutions(tmp_path, capsys):

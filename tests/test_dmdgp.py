@@ -114,6 +114,10 @@ class TestInstance:
         shallow, deep, pickled = copy.copy(inst), copy.deepcopy(inst), pickle.loads(
             pickle.dumps(inst))   # copied before the tuple is first built
         assert "edges" not in vars(inst)
+        u, v, d = inst.edge_arrays()
+        assert bits(tuple(zip(u.tolist(), v.tolist(), d.tolist()))) == bits(edges)
+        assert not any(col.flags.writeable for col in (u, v, d))
+        assert "edges" not in vars(inst)
         assert bits(inst.edges) == bits(edges)
         assert all(type(u) is int and type(v) is int and type(d) is float
                    for u, v, d in inst.edges)
@@ -150,21 +154,25 @@ class TestInstance:
         assert small == large < 20
         sols = solve(inst, SolveOptions(mode="first"))
         format_points(sols[0][0])
+        assert verify_realization(inst, sols[0][0])[0] <= 1e-4
         assert "edges" not in vars(inst)
 
-    def test_lookups(self):
-        inst = Instance(6, ((1, 2, 1.0), (2, 3, 2.0), (1, 5, 3.0), (2, 6, 4.0), (1, 6, 5.0)))
-        assert inst.distance(2, 1) == 1.0
-        assert inst.distance(1, 3) is None
-        # only edges with v - u >= 4 are pruning edges, u given 0-based
-        u, d = inst.pruning_edges(6)
-        assert u.tolist() == [1, 0] and d.tolist() == [4.0, 5.0]
-        u, d = inst.pruning_edges(5)
-        assert u.tolist() == [0] and d.tolist() == [3.0]
-        for v in (1, 2, 3, 4):
-            assert inst.pruning_edges(v)[0].size == 0 and inst.pruning_edges(v)[1].size == 0
-        assert [inst.distance(u, v) for u, v in ((1, 5), (5, 1), (3, 6), (0, 1), (2, 7))] == \
-            [3.0, 3.0, None, None, None]
+    def test_edge_arrays_and_pruning_lists(self):
+        edges = ((1, 2, 1.0), (2, 3, 2.0), (2, 6, 4.0), (1, 5, 3.0), (1, 6, 5.0))
+        inst = Instance(6, edges)
+        u, v, d = inst.edge_arrays()
+        assert (u.tolist(), v.tolist(), d.tolist()) == tuple(map(list, zip(*edges)))
+        assert u.dtype == v.dtype == np.int64 and d.dtype == float
+        for col in (u, v, d):
+            with pytest.raises(ValueError, match="read-only"):
+                col[0] = 0
+        assert inst.edge_arrays()[0] is u
+        # only edges with v - u >= 4 are pruning edges, in rows by v, u 0-based
+        rows, far_u, far_d = inst.pruning_lists()
+        assert rows == [0, 0, 0, 0, 0, 0, 1, 3]
+        assert far_u == [0, 1, 0] and far_d == [3.0, 4.0, 5.0]
+        empty = Instance(4, ()).edge_arrays()
+        assert [col.size for col in empty] == [0, 0, 0]
 
     def test_clique_distances(self):
         inst = Instance(5, ((1, 2, 1.0), (3, 5, 2.0), (2, 5, 3.0), (1, 5, 4.0)))

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cgabp.dmdgp import generate_instance
+from cgabp.dmdgp import Instance, generate_instance
 from cgabp.errors import DegenerateGeometryError
 from cgabp.geometry import (TrilaterationResult, bond_angle, dihedral_angle,
                             matrix_place_next, torsion_matrix, trilaterate,
@@ -119,6 +121,18 @@ class TestMatrixPlaceNext:
         assert np.allclose(mat[:3, :3] @ mat[:3, :3].T, np.eye(3), atol=1e-12)
 
 
+def reference_verify(inst, r):
+    """verify_realization as the loop over ``inst.edges`` it replaced."""
+    worst = 0.0
+    worst_edge = None
+    for u, v, d in inst.edges:
+        viol = abs(np.linalg.norm(r[u - 1] - r[v - 1]) - d)
+        if worst_edge is None or viol > worst:
+            worst = viol
+            worst_edge = (u, v)
+    return worst, worst_edge
+
+
 class TestVerifyRealization:
     def test_ground_truth_is_exact(self):
         inst, truth = generate_instance(12, 5, 0.3)
@@ -138,11 +152,32 @@ class TestVerifyRealization:
         assert worst == (5, 6)
 
     def test_empty_edge_list(self):
-        from cgabp.dmdgp import Instance
         inst = Instance(4, ())
         max_viol, worst = verify_realization(inst, np.zeros((4, 3)))
         assert max_viol == 0.0
         assert worst is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(4, 40), seed=st.integers(0, 2**16), extra=st.floats(0.0, 1.0),
+           kind=st.sampled_from(["noisy", "random", "zeros"]), scale=st.floats(1e-6, 1e3))
+    def test_matches_the_edge_loop_bit_for_bit(self, n, seed, extra, kind, scale):
+        # "zeros" ties every bond: the first largest violation must win
+        inst, truth = generate_instance(n, seed, extra)
+        rng = np.random.default_rng(seed)
+        r = {"noisy": lambda: truth + rng.normal(scale=scale, size=truth.shape),
+             "random": lambda: rng.uniform(-scale, scale, size=truth.shape),
+             "zeros": lambda: np.zeros_like(truth)}[kind]()
+        got, expected = verify_realization(inst, r), reference_verify(inst, r)
+        assert np.float64(got[0]).tobytes() == np.float64(expected[0]).tobytes()
+        assert got[1] == expected[1] and type(got[0]) is float
+
+    @pytest.mark.parametrize("vertex", [5, 6, 9, 12])
+    def test_nan_vertex_is_the_worst_violation(self, vertex):
+        inst, truth = generate_instance(12, 5, 0.3)
+        truth[vertex - 1, 1] = math.nan
+        max_viol, worst = verify_realization(inst, truth)
+        assert math.isnan(max_viol) and "edges" not in vars(inst)
+        assert worst == next((u, v) for u, v, _ in inst.edges if vertex in (u, v))
 
     def test_size_mismatch_rejected(self):
         inst, truth = generate_instance(6, 2, 0.0)

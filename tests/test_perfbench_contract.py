@@ -7,6 +7,8 @@ per-layer metrics are computed from the trace.  This catches, without a
 module attribute the tracer wraps that is gone, a ``prune_check`` that
 is no longer called once per search node (``solver.nodes`` counts it), or
 a ``cgabp.bench`` kernel that every run times, and cross-checks, first.
+The scripts ``gc_probe.py`` and ``solve_random.py`` (whose digest two
+checkouts compare for identical output) are run on small inputs too.
 """
 
 import importlib.util
@@ -78,3 +80,17 @@ def test_gc_probe_reports_passes_by_generation(capsys):
     assert report["requests"] > 0 and report["failed"] == 0
     assert set(report["passes"]) == set(report["passes_in_requests"]) == {"0", "1", "2"}
     assert report["slowest"] == min(11, report["requests"])
+
+
+def test_solve_random_digest_and_table_modes_pass(capsys):
+    # the identity gate quoted for output-preserving changes, and its table
+    # of oracle, mirror, round-trip and ingestion checks
+    script = load_script(ROOT / "scripts" / "solve_random.py", "solve_random")
+    assert script.main(["--digest", "--sizes", "5", "8", "--seed", "0", "7",
+                        "--extra-edges", "0", "0.3"]) == 0
+    digest = capsys.readouterr().out.strip()
+    assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")
+    assert script.main(["--sizes", "12", "--extra-edges", "0.3"]) == 0
+    out = capsys.readouterr().out
+    assert "matrix oracle: 0 of 1 instances differ" in out
+    assert "ingest vs generate: 0 of 1 instances differ" in out

@@ -26,12 +26,14 @@ from conftest import einsum_compose, einsum_origin
 
 
 def reference_prune_check(partial, inst, eps):
-    """prune_check as one vectorized check of a (v, 3) array."""
-    u, d = inst.pruning_edges(len(partial))
-    if not u.size:
+    """prune_check as one vectorized check of a (v, 3) array, over the
+    edges (u, v) with v - u >= 4 picked from ``edge_arrays``."""
+    u, w, d = inst.edge_arrays()
+    mine = (w == len(partial)) & (w - u >= 4)
+    if not mine.any():
         return True
-    diff = partial[u] - partial[-1]
-    return bool(np.abs(np.sqrt(np.einsum("ij,ij->i", diff, diff)) - d).max() <= eps)
+    diff = partial[u[mine] - 1] - partial[-1]
+    return bool(np.abs(np.sqrt(np.einsum("ij,ij->i", diff, diff)) - d[mine]).max() <= eps)
 
 
 def reference_solve(inst, opts=SolveOptions()):
@@ -46,7 +48,7 @@ def reference_solve(inst, opts=SolveOptions()):
         coords = internal_coordinates(inst)
     except InfeasibleInstanceError:
         return []
-    if np.any(coords.clique_miss > opts.eps):
+    if not np.all(coords.clique_miss <= opts.eps):
         return []
     n = inst.n
     points = np.zeros((n, 3))
@@ -178,7 +180,7 @@ class TestAnchor:
         pts = initialize_first_three(coords)
         assert np.linalg.norm(pts[1] - pts[0]) == coords.bond_lengths[0]
         assert abs(bond_angle(pts[0], pts[1], pts[2]) - coords.bond_angles[0]) <= 1e-12
-        assert abs(np.linalg.norm(pts[2] - pts[0]) - inst.distance(1, 3)) <= 1e-12
+        assert abs(np.linalg.norm(pts[2] - pts[0]) - inst.clique_distances()[2, 1]) <= 1e-12
         assert pts[2][1] > 0 and abs(pts[2][2]) == 0.0
 
 
@@ -191,8 +193,8 @@ class TestPruneCheck:
     def test_perturbed_prefix_fails(self):
         inst, truth = generate_instance(9, 2, 0.5)
         eps = 1e-4
-        u, _ = inst.pruning_edges(9)
-        assert u.size
+        u = [a - 1 for a, w, _ in inst.edges if w == 9 and w - a >= 4]
+        assert u
         # move vertex 9 away from its first pruning neighbour by 10 eps
         away = truth[8] - truth[u[0]]
         bad = truth.copy()
@@ -266,7 +268,7 @@ class TestSolve:
     def test_infeasible_edge_gives_empty_list(self):
         inst, _ = generate_instance(5, 4, 0.0)
         edges = [(u, v, d) for u, v, d in inst.edges if (u, v) != (1, 4)]
-        path_bound = inst.distance(1, 2) + inst.distance(2, 3) + inst.distance(3, 4)
+        path_bound = sum(d for u, v, d in edges if v - u == 1 and v <= 4)
         edges.append((1, 4, path_bound + 1.0))
         assert solve(Instance(5, tuple(edges)), SolveOptions(mode="all")) == []
 
@@ -280,6 +282,37 @@ class TestSolve:
         inst = Instance(5, tuple((u, v, 1.5) for u in range(1, 5) for v in (u + 1,)))
         with pytest.raises(InvalidInstanceError):
             solve(inst)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_short_chains_have_one_realization(self, n):
+        # the first n points of the anchor, with no sign to choose
+        edges = ((1, 2, 1.5), (2, 3, 1.25), (1, 3, 2.0))
+        inst = Instance(n, tuple(e for e in edges if e[1] <= n))
+        sols = solve(inst)
+        assert len(sols) == 1
+        r, path = sols[0]
+        assert path == BranchPath(()) and str(path) == ""
+        assert r.shape == (n, 3)
+        assert r[:2].tolist() == [[0.0, 0.0, 0.0], [-1.5, 0.0, 0.0]][:n]
+        if n == 3:
+            assert np.array_equal(r, initialize_first_three(internal_coordinates(inst)))
+        assert verify_realization(inst, r)[0] <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1e20, 1e40, 1e80, 1e160, 1e300])
+    def test_overflowing_distances_give_no_nan_realization(self, scale):
+        # d^2, or a product of the Gram entries, overflows from about 1e38
+        # on: the NaN that follows fails the triangle and clique checks
+        # instead of passing them
+        inst, _ = generate_instance(6, 1, 0.0)
+        scaled = Instance(6, tuple((u, v, d * scale) for u, v, d in inst.edges))
+        eps = 1e-4 * scale
+        with np.errstate(over="ignore", invalid="ignore"):
+            sols = solve(scaled, SolveOptions(eps=eps))
+        for r, _ in sols:
+            assert np.isfinite(r).all()
+            assert verify_realization(scaled, r)[0] <= eps
+        if scale == 1e20:
+            assert len(sols) == 8
 
     def test_first_mode_and_cap(self):
         inst, _ = generate_instance(8, 5, 0.0)
@@ -620,6 +653,19 @@ def test_float_walk_matches_the_numpy_walk_on_ingested_chains(n, seed, mode):
     inst = ingest_coordinates(format_points(truth), cutoff=5.0)
     opts = SolveOptions(mode=mode)
     assert same_output(solve(inst, opts), reference_solve(inst, opts))
+
+
+def test_translation_keeps_the_paths_of_sixty_vertex_chains():
+    # every generate_instance(60, s) truth for s = 0..59, moved 1e2, 1e4 and
+    # 1e6 A along a direction drawn from s and ingested at 5 A
+    for seed in range(60):
+        _, truth = generate_instance(60, seed, 0.0)
+        unit = np.random.default_rng(seed).normal(size=3)
+        unit /= np.linalg.norm(unit)
+        moved = [truth] + [truth + distance * unit for distance in (1e2, 1e4, 1e6)]
+        paths = [[path for _, path in solve(ingest_coordinates(format_points(points), cutoff=5.0))]
+                 for points in moved]
+        assert paths[0] and paths[1:] == paths[:1] * 3, seed
 
 
 @settings(max_examples=40, deadline=None)
