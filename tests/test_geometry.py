@@ -159,14 +159,14 @@ class TestVerifyRealization:
 
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(4, 40), seed=st.integers(0, 2**16), extra=st.floats(0.0, 1.0),
-           kind=st.sampled_from(["noisy", "random", "zeros"]), scale=st.floats(1e-6, 1e3))
+           kind=st.sampled_from(["noisy", "random", "exact"]), scale=st.floats(1e-6, 1e3))
     def test_matches_the_edge_loop_bit_for_bit(self, n, seed, extra, kind, scale):
-        # "zeros" ties every bond: the first largest violation must win
+        # the "exact" truth misses every edge by 0.0: the first edge must win the tie
         inst, truth = generate_instance(n, seed, extra)
         rng = np.random.default_rng(seed)
         r = {"noisy": lambda: truth + rng.normal(scale=scale, size=truth.shape),
              "random": lambda: rng.uniform(-scale, scale, size=truth.shape),
-             "zeros": lambda: np.zeros_like(truth)}[kind]()
+             "exact": lambda: truth}[kind]()
         got, expected = verify_realization(inst, r), reference_verify(inst, r)
         assert np.float64(got[0]).tobytes() == np.float64(expected[0]).tobytes()
         assert got[1] == expected[1] and type(got[0]) is float
