@@ -1,19 +1,15 @@
 """Branch & Prune for discretizable molecular distance geometry, with
 candidate positions generated by conformal-geometric-algebra versors and
-cross-validated against classical coordinate geometry."""
+cross-validated against classical coordinate geometry.  Importing the package
+does not load the dense kernel ``ga``, the conformal model or ``bench``."""
 
-from .conformal import (PlacementStep, build_placement_step, carrier_plane,
-                        compute_next_points, embed_point, extract_point,
-                        make_translator, point_distance)
 from .dmdgp import (Instance, InternalCoords, ValidationReport,
                     generate_instance, ingest_coordinates,
                     internal_coordinates, validate_instance)
 from .errors import (DegenerateGeometryError, FileFormatError,
                      InfeasibleInstanceError, InvalidInstanceError)
-from .ga import Multivector
 from .geometry import TrilaterationResult, matrix_place_next, trilaterate, verify_realization
-from .solver import (BranchPath, SolveOptions, expand_by_symmetry,
-                     initialize_first_three, prune_check, reflect_suffix, solve)
+from .solver import BranchPath, SolveOptions, initialize_first_three, prune_check, solve
 
 __version__ = "0.1.0"
 
@@ -25,26 +21,15 @@ __all__ = [
     "Instance",
     "InternalCoords",
     "InvalidInstanceError",
-    "Multivector",
-    "PlacementStep",
     "SolveOptions",
     "TrilaterationResult",
     "ValidationReport",
-    "build_placement_step",
-    "carrier_plane",
-    "compute_next_points",
-    "embed_point",
-    "expand_by_symmetry",
-    "extract_point",
     "generate_instance",
     "ingest_coordinates",
     "initialize_first_three",
     "internal_coordinates",
-    "make_translator",
     "matrix_place_next",
-    "point_distance",
     "prune_check",
-    "reflect_suffix",
     "solve",
     "trilaterate",
     "validate_instance",

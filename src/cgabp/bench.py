@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conformal import compute_next_points, embed_point, extract_point
-from .ga import (E1, E2, E3, NI, bivector_exp, compose_motor_floats, euclidean_vector,
-                 geometric_product as gp, motor_coeffs, motor_from_coeffs,
-                 outer_product as op, reverse, scalar)
+from .ga import (E1, E2, E3, NI, bivector_exp, euclidean_vector, geometric_product as gp,
+                 motor_coeffs, motor_from_coeffs, outer_product as op, reverse, scalar)
 from .geometry import matrix_place_next
+from .solver import compose_motor_floats
 
 MOTOR_COEFF_COUNT = 8
 MATRIX_COEFF_COUNT = 12  # 3x4 affine part; the bottom row is constant
@@ -100,7 +100,7 @@ def _apply_motor(coords: np.ndarray, point: np.ndarray) -> np.ndarray:
 
 def bench_compose(count: int, seed: int = 0) -> BenchReport:
     """Time motor-vs-matrix composition of random rigid motions: the motors
-    as lists of 8 floats composed by ``ga.compose_motor_floats``, the
+    as lists of 8 floats composed by ``solver.compose_motor_floats``, the
     product the search runs, against 4x4 matrix products.
 
     Both composites must map 10 random probe points identically (1e-8)

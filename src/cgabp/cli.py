@@ -9,11 +9,9 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 
-from .bench import bench_compose, bench_placement
 from .dmdgp import (format_instance, format_points, generate_instance,
                     parse_instance, parse_points)
 from .errors import FileFormatError, InvalidInstanceError
@@ -44,12 +42,18 @@ def _int_at_least(low: int):
     return parse
 
 
-def _read_instance(path: str):
+def _read_text(path: str) -> str:
+    """The text of ``path``; exit 2 if it cannot be read or decoded."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        print(f"error: cannot read {path}: {exc.strerror}", file=sys.stderr)
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        print(f"error: cannot read {path}: {reason}", file=sys.stderr)
         raise SystemExit(2)
+
+
+def _read_instance(path: str):
+    text = _read_text(path)
     try:
         return parse_instance(text)
     except FileFormatError as exc:
@@ -116,10 +120,7 @@ def _cmd_generate(args) -> int:
 def _cmd_verify(args) -> int:
     inst = _read_instance(args.instance)
     try:
-        points = parse_points(Path(args.realization).read_text())
-    except OSError as exc:
-        print(f"error: cannot read {args.realization}: {exc.strerror}", file=sys.stderr)
-        return 2
+        points = parse_points(_read_text(args.realization))
     except FileFormatError as exc:
         print(f"error: {args.realization}: {exc}", file=sys.stderr)
         return 2
@@ -134,6 +135,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from .bench import bench_compose, bench_placement   # the dense kernel, loaded only here
+
     for report in (bench_compose(args.count, args.seed), bench_placement(args.count, args.seed)):
         print(report.as_text())
         print(report.as_kv_lines())
@@ -142,9 +145,8 @@ def _cmd_bench(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # argparse runs a string default through _eps too, for the commands that take --eps
-    eps = dict(type=_eps, default=os.environ.get("CGABP_EPS", "1e-4"),
-               help="largest distance error on any edge, angstroms (default: $CGABP_EPS or 1e-4)")
+    eps = dict(type=_eps, default=1e-4,
+               help="largest distance error on any edge, angstroms (default: 1e-4)")
     parser = argparse.ArgumentParser(
         prog="cgabp",
         description="Branch & Prune solver for discretizable molecular "

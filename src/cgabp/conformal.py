@@ -1,7 +1,8 @@
 """The 3D conformal model on top of the Cl(4,1) kernel: point embedding,
-carrier planes, translators, the versor construction that yields the two
-candidate positions of the next chain vertex, and the 8-coefficient step
-motor that the search composes instead.
+carrier planes, translators and the versor construction that yields the
+two candidate positions of the next chain vertex.  This is the dense
+reference the tests and ``bench`` check placements against; the search
+composes the closed-form step motors of ``solver`` instead.
 
 A conformal point is a grade-1 null multivector normalized so that
 ``scalar_product(-NI, P) = 1``; helpers below keep that invariant.
@@ -14,24 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ga
 from .errors import DegenerateGeometryError
-from .ga import (
-    Multivector,
-    NI,
-    NO,
-    bivector_exp,
-    dual,
-    euclidean_vector,
-    geometric_product as gp,
-    outer_product as op,
-    reverse,
-    scalar,
-    scalar_product as sp,
-    versor_inverse,
-)
-
-ConformalPoint = Multivector
+from .ga import (Multivector, NI, NO, bivector_exp, dual, euclidean_vector,
+                 geometric_product as gp, outer_product as op, reverse, scalar,
+                 scalar_product as sp, versor_inverse)
 
 
 def embed_point(x) -> Multivector:
@@ -168,32 +155,3 @@ def compute_next_points(a: Multivector, b: Multivector, c: Multivector,
     direct = normalize_point(gp(gp(f, c), reverse(f)))
     mirrored = reflect_in_plane(step.plane, direct)
     return direct, mirrored
-
-
-def step_motor(theta, omega, d) -> np.ndarray:
-    """8 motor coefficients of one chain step, in the local frame of
-    ``geometry.torsion_matrix``: the product of a twist by ``omega`` about
-    the bond e1, a turn by pi - theta about the frame normal e3, and a move
-    of ``d`` along the new e1.  Array arguments broadcast and give one
-    motor per element.
-
-    As a motion it is ``torsion_matrix(a, b, c)^-1 @ torsion_matrix(b, c, x)``
-    for the point ``x`` that ``spherical_offset(theta, omega, d)`` places
-    after (a, b, c), so the frame of vertex i is the product of the anchor
-    frame's motor with the step motors of vertices 4..i, and the vertex
-    itself is that product's image of the origin.
-
-    The product in closed form: with c, s = cos, sin(omega/2), p, q = sin,
-    cos(theta/2) and h = -d/2, the rotor r = (c p, -c q, -s q, -s p), then
-    (r0 h, -r1 h, -r2 h, r3 h), each added to 0.0 as a motor product adds
-    its terms (so -0 becomes +0).  It is checked bit for bit against the
-    product of the three factors by
-    ``test_step_motor_is_the_product_of_its_factors``.
-    """
-    theta, omega, d = np.broadcast_arrays(theta, omega, d)
-    c, s = np.cos(0.5 * omega), np.sin(0.5 * omega)
-    p, q = np.sin(0.5 * theta), np.cos(0.5 * theta)
-    h = -0.5 * d
-    r0, r1, r2, r3 = 0.0 + c * p, 0.0 - c * q, 0.0 - s * q, 0.0 - s * p
-    return np.stack((r0, r1, r2, r3, 0.0 + r0 * h, 0.0 - r1 * h, 0.0 - r2 * h, 0.0 + r3 * h),
-                    axis=-1)

@@ -98,6 +98,10 @@ class Instance:
         inst._index(u, v, d)
         return inst
 
+    def __reduce__(self):
+        """Copies and pickles are rebuilt, checked and read-only, from the arrays."""
+        return Instance._from_arrays, (self.n, *self._arrays)
+
     def _index(self, u, v, d):
         n = self.n
         if n < 1:

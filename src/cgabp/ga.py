@@ -11,6 +11,9 @@ basis, which keeps the metric diagonal.
 Everything here is a pure function of immutable values; the only module
 state is the sign/index tables built once at import time, so concurrent
 use needs no synchronisation.
+
+This is the reference that the tests and ``bench`` check the closed-form
+motors of ``solver`` against, through ``motor_coeffs``/``motor_from_coeffs``.
 """
 
 from __future__ import annotations
@@ -339,40 +342,6 @@ def motor_from_coeffs(coords) -> Multivector:
     nb = np.zeros(DIM)
     nb[list(MOTOR_SUPPORT)] = np.asarray(coords, dtype=float)
     return from_null_basis_coeffs(nb)
-
-
-# Two motor maps on Python floats, with no dense product behind them: the
-# nonzero (all +-1) terms of the tables that dense products of basis motors
-# give, written out in the tables' (i, j) order and summed from 0.0, as an
-# einsum over the tables sums them, so both give the same bits.  This is
-# the dual-quaternion product; the tests rebuild the tables and check it.
-
-def compose_motor_floats(a, b) -> tuple:
-    """Product ab of two motors, each a sequence of 8 support coefficients
-    (order as in :func:`motor_coeffs`), as a tuple of 8 floats."""
-    a0, a1, a2, a3, a4, a5, a6, a7 = a
-    b0, b1, b2, b3, b4, b5, b6, b7 = b
-    return (0.0 + a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-            0.0 + a0 * b1 + a1 * b0 - a2 * b3 + a3 * b2,
-            0.0 + a0 * b2 + a1 * b3 + a2 * b0 - a3 * b1,
-            0.0 + a0 * b3 - a1 * b2 + a2 * b1 + a3 * b0,
-            0.0 + a0 * b4 + a1 * b5 + a2 * b6 - a3 * b7 + a4 * b0 - a5 * b1 - a6 * b2 - a7 * b3,
-            0.0 + a0 * b5 - a1 * b4 + a2 * b7 + a3 * b6 + a4 * b1 + a5 * b0 - a6 * b3 + a7 * b2,
-            0.0 + a0 * b6 - a1 * b7 - a2 * b4 - a3 * b5 + a4 * b2 + a5 * b3 + a6 * b0 - a7 * b1,
-            0.0 + a0 * b7 + a1 * b6 - a2 * b5 + a3 * b4 + a4 * b3 - a5 * b2 + a6 * b1 + a7 * b0)
-
-
-def motor_origin_floats(m) -> tuple:
-    """Euclidean point M no ~M of a unit motor M, a sequence of 8 support
-    coefficients, as a tuple of 3 floats.  Entries (i, j) and (j, i) of the
-    map multiply the same two coefficients, so each product is formed once
-    and added twice."""
-    m0, m1, m2, m3, m4, m5, m6, m7 = m
-    p04, p05, p06, p14, p15, p17 = m0 * m4, m0 * m5, m0 * m6, m1 * m4, m1 * m5, m1 * m7
-    p24, p26, p27, p35, p36, p37 = m2 * m4, m2 * m6, m2 * m7, m3 * m5, m3 * m6, m3 * m7
-    return (0.0 - p04 - p15 - p26 - p37 - p04 - p15 - p26 - p37,
-            0.0 - p05 + p14 + p27 - p36 + p14 - p05 - p36 + p27,
-            0.0 - p06 - p17 + p24 + p35 + p24 + p35 - p06 - p17)
 
 
 def format_multivector(a: Multivector, eps: float = 1e-12) -> str:

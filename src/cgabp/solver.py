@@ -1,14 +1,15 @@
-"""Branch & Prune search over the binary tree of torsion-sign choices.
+"""Branch & Prune search over the binary tree of torsion-sign choices,
+and the closed-form motor algebra it runs.
 
 One iterative depth-first loop serves every mode.  The frame of each
 placed vertex is an 8-coefficient motor; a child composes its parent's
 motor with one of the two step motors of its vertex (torsion +omega or
 -omega), and its point is the new motor's image of the origin.  The step
 motors are built once per solve, as arrays, in closed form by
-``conformal.step_motor``; the work per node runs on Python floats, since at
+``step_motor``; the work per node runs on Python floats, since at
 8 coefficients a NumPy call costs more than its arithmetic: the current
 path is a list of point tuples, the parent motors 8-tuples, composed by
-``ga.compose_motor_floats`` and mapped by ``ga.motor_origin_floats``, and
+``compose_motor_floats`` and mapped by ``motor_origin_floats``, and
 the prune check loops over the vertex's row of ``Instance.pruning_lists``.
 Each edge is checked once, within ``eps`` angstroms: the discretization
 edges (v-3..v-1, v), which fix a vertex's two candidates, at set-up
@@ -29,14 +30,82 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# compute_next_points is the reference placement; the search does not call
-# it, but perfbench/tracing.py wraps it under this module's name.
-from .conformal import (carrier_plane, compute_next_points,  # noqa: F401
-                        embed_point, extract_point, reflect_in_plane, step_motor)
 from .dmdgp import Instance, InternalCoords, internal_coordinates, validate_instance
 from .errors import InfeasibleInstanceError, InvalidInstanceError
-from .ga import compose_motor_floats, motor_origin_floats
 from .geometry import verify_realization
+
+
+# perfbench/tracing.py looks these two names up on this module with getattr
+# to wrap them, and the benchmark harness changes only on its own (ROADMAP
+# item 1).  The search calls neither, so the dense conformal model loads
+# only when they are asked for; drop this once the tracer stops naming them.
+def __getattr__(name):
+    if name in ("compute_next_points", "reflect_in_plane"):
+        from . import conformal
+        return getattr(conformal, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+# A motor is 8 coefficients over the support 1, e12, e13, e23, e1 inf, e2 inf,
+# e3 inf, e123 inf (``ga.MOTOR_SUPPORT``).  The two float maps write out the
+# nonzero (all +-1) terms of the tables of dense basis-motor products in the
+# tables' (i, j) order, summed from 0.0 as an einsum over the tables sums
+# them, so both give the same bits; the tests rebuild the tables and check.
+
+def step_motor(theta, omega, d) -> np.ndarray:
+    """8 motor coefficients of one chain step, in the local frame of
+    ``geometry.torsion_matrix``: the product of a twist by ``omega`` about
+    the bond e1, a turn by pi - theta about the frame normal e3, and a move
+    of ``d`` along the new e1.  Array arguments broadcast and give one
+    motor per element.
+
+    As a motion it is ``torsion_matrix(a, b, c)^-1 @ torsion_matrix(b, c, x)``
+    for the point ``x`` that ``spherical_offset(theta, omega, d)`` places
+    after (a, b, c), so the frame of vertex i is the product of the anchor
+    frame's motor with the step motors of vertices 4..i, and the vertex
+    itself is that product's image of the origin.
+
+    The product in closed form: with c, s = cos, sin(omega/2), p, q = sin,
+    cos(theta/2) and h = -d/2, the rotor r = (c p, -c q, -s q, -s p), then
+    (r0 h, -r1 h, -r2 h, r3 h), each added to 0.0 as a motor product adds
+    its terms (so -0 becomes +0), bit-equal to the product of the three
+    factors (``test_step_motor_is_the_product_of_its_factors``).
+    """
+    theta, omega, d = np.broadcast_arrays(theta, omega, d)
+    c, s = np.cos(0.5 * omega), np.sin(0.5 * omega)
+    p, q = np.sin(0.5 * theta), np.cos(0.5 * theta)
+    h = -0.5 * d
+    r0, r1, r2, r3 = 0.0 + c * p, 0.0 - c * q, 0.0 - s * q, 0.0 - s * p
+    return np.stack((r0, r1, r2, r3, 0.0 + r0 * h, 0.0 - r1 * h, 0.0 - r2 * h, 0.0 + r3 * h),
+                    axis=-1)
+
+
+def compose_motor_floats(a, b) -> tuple:
+    """Product ab of two motors, each a sequence of 8 support coefficients,
+    as a tuple of 8 floats."""
+    a0, a1, a2, a3, a4, a5, a6, a7 = a
+    b0, b1, b2, b3, b4, b5, b6, b7 = b
+    return (0.0 + a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+            0.0 + a0 * b1 + a1 * b0 - a2 * b3 + a3 * b2,
+            0.0 + a0 * b2 + a1 * b3 + a2 * b0 - a3 * b1,
+            0.0 + a0 * b3 - a1 * b2 + a2 * b1 + a3 * b0,
+            0.0 + a0 * b4 + a1 * b5 + a2 * b6 - a3 * b7 + a4 * b0 - a5 * b1 - a6 * b2 - a7 * b3,
+            0.0 + a0 * b5 - a1 * b4 + a2 * b7 + a3 * b6 + a4 * b1 + a5 * b0 - a6 * b3 + a7 * b2,
+            0.0 + a0 * b6 - a1 * b7 - a2 * b4 - a3 * b5 + a4 * b2 + a5 * b3 + a6 * b0 - a7 * b1,
+            0.0 + a0 * b7 + a1 * b6 - a2 * b5 + a3 * b4 + a4 * b3 - a5 * b2 + a6 * b1 + a7 * b0)
+
+
+def motor_origin_floats(m) -> tuple:
+    """Euclidean point M no ~M of a unit motor M, a sequence of 8 support
+    coefficients, as a tuple of 3 floats.  Entries (i, j) and (j, i) of the
+    map multiply the same two coefficients, so each product is formed once
+    and added twice."""
+    m0, m1, m2, m3, m4, m5, m6, m7 = m
+    p04, p05, p06, p14, p15, p17 = m0 * m4, m0 * m5, m0 * m6, m1 * m4, m1 * m5, m1 * m7
+    p24, p26, p27, p35, p36, p37 = m2 * m4, m2 * m6, m2 * m7, m3 * m5, m3 * m6, m3 * m7
+    return (0.0 - p04 - p15 - p26 - p37 - p04 - p15 - p26 - p37,
+            0.0 - p05 + p14 + p27 - p36 + p14 - p05 - p36 + p27,
+            0.0 - p06 - p17 + p24 + p35 + p24 + p35 - p06 - p17)
 
 
 @dataclass(frozen=True)
@@ -224,7 +293,7 @@ def solve(inst: Instance, opts: SolveOptions = SolveOptions()):
     theta, d = coords.bond_angles[1:], coords.bond_lengths[2:]
     omega = np.arccos(coords.dihedral_cos)
     # steps[k][0] and steps[k][1] place vertex k + 4 at torsion +omega and -omega
-    steps = np.stack((step_motor(theta, omega, d), step_motor(theta, -omega, d)), axis=1).tolist()
+    steps = step_motor(theta[:, None], np.stack((omega, -omega), axis=1), d[:, None]).tolist()
     near = 2.0 * d * np.sin(theta) * np.sin(omega) <= opts.eps
     # cos(omega) within 1024 ulp of +-1 (omega within 7e-7 rad of 0 or pi) is
     # planar up to the closed form's rounding (a few hundred ulp on planar
@@ -291,6 +360,7 @@ def reflect_suffix(realization: np.ndarray, vertex: int) -> np.ndarray:
     ``vertex`` on while preserving all distances within the prefix and
     within the suffix.
     """
+    from .conformal import carrier_plane, embed_point, extract_point, reflect_in_plane
     r = np.asarray(realization, dtype=float)
     if not 4 <= vertex <= len(r):
         raise ValueError(f"reflection vertex must be in 4..n, got {vertex}")

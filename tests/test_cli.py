@@ -164,31 +164,37 @@ def test_symmetric_all_on_long_pruned_chain(tmp_path, capsys):
     assert "solutions: 2" in capsys.readouterr().out
 
 
-def test_eps_env_override(tmp_path, monkeypatch, capsys):
+def test_eps_option_is_checked(tmp_path, capsys):
     inst_file = tmp_path / "i.txt"
     truth_file = tmp_path / "t.txt"
     run(["generate", "--n", "5", "--seed", "9", "--out", str(inst_file),
          "--truth", str(truth_file)])
-    monkeypatch.setenv("CGABP_EPS", "1e-15")
     pts = parse_points(truth_file.read_text())
     pts[4] += 1e-10
     truth_file.write_text("\n".join(
         f"{i+1} {p[0]:.17g} {p[1]:.17g} {p[2]:.17g}" for i, p in enumerate(pts)) + "\n")
-    assert run(["verify", str(inst_file), str(truth_file)]) == 1
-    # eps must be a positive finite number wherever it comes from; nan
-    # would turn pruning off and let every branch through
+    assert run(["verify", str(inst_file), str(truth_file)]) == 0
+    assert run(["verify", str(inst_file), str(truth_file), "--eps", "1e-15"]) == 1
+    # eps must be a positive finite number; nan would turn pruning off and
+    # let every branch through
     for bad in ("not-a-number", "-1", "0", "nan", "inf"):
-        monkeypatch.setenv("CGABP_EPS", bad)
-        assert run(["verify", str(inst_file), str(truth_file)]) == 2
-        assert run(["solve", str(inst_file)]) == 2
-        assert "positive finite" in capsys.readouterr().err
-        monkeypatch.setenv("CGABP_EPS", "1e-4")
         assert run(["verify", str(inst_file), str(truth_file), "--eps", bad]) == 2
         assert run(["solve", str(inst_file), "--eps", bad]) == 2
         assert "positive finite" in capsys.readouterr().err
-    # a command without --eps never reads the variable
-    monkeypatch.setenv("CGABP_EPS", "not-a-number")
-    assert run(["generate", "--n", "5", "--seed", "9", "--out", str(inst_file)]) == 0
+
+
+def test_undecodable_file_is_an_input_error(tmp_path, capsys):
+    inst_file, truth_file, binary = tmp_path / "i.txt", tmp_path / "t.txt", tmp_path / "bin.txt"
+    run(["generate", "--n", "5", "--seed", "9", "--out", str(inst_file),
+         "--truth", str(truth_file)])
+    binary.write_bytes(b"\x80\x81\xff\n")
+    capsys.readouterr()
+    for argv in (["solve", str(binary)],
+                 ["verify", str(binary), str(truth_file)],
+                 ["verify", str(inst_file), str(binary)]):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {binary}: ") and "Traceback" not in err
 
 
 def test_bench_subcommand(capsys):
@@ -203,13 +209,17 @@ def test_usage_error_exit_code(capsys):
     assert run(["frobnicate"]) == 2
 
 
-def test_module_entry_point_runs_the_parser(tmp_path):
-    # python -m cgabp.cli reaches the same parser as the console script
+def _fresh_python(*args):
+    """Run ``python *args`` in a new interpreter that imports the package from src/."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, "-m", "cgabp.cli", "solve", str(tmp_path / "x.txt"),
-                           "--eps", "-1"], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True)
+
+
+def test_module_entry_point_runs_the_parser(tmp_path):
+    # python -m cgabp.cli reaches the same parser as the console script
+    proc = _fresh_python("-m", "cgabp.cli", "solve", str(tmp_path / "x.txt"), "--eps", "-1")
     assert proc.returncode == 2
     assert "positive finite" in proc.stderr
 
@@ -236,3 +246,16 @@ def test_max_solutions_enumerates_up_to_k(tmp_path, capsys):
     assert "solutions: 5" in capsys.readouterr().out
     assert run(["solve", str(inst_file)]) == 0
     assert "solutions: 1" in capsys.readouterr().out
+
+
+def test_cli_import_leaves_the_dense_kernel_unloaded():
+    # the solve path runs the closed-form motors of cgabp.solver; the dense
+    # kernel, the conformal model and the benchmarks load only when used
+    proc = _fresh_python("-c", "import sys, cgabp.cli; print(' '.join(sorted("
+                               "m for m in sys.modules if m.split('.')[0] == 'cgabp')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["cgabp", "cgabp.cli", "cgabp.dmdgp", "cgabp.errors",
+                                   "cgabp.geometry", "cgabp.solver"]
+    proc = _fresh_python("-m", "cgabp.cli", "bench", "--count", "3")
+    assert proc.returncode == 0, proc.stderr
+    assert "compose.cross_check_passed=1" in proc.stdout

@@ -13,11 +13,12 @@ from cgabp import ga
 from cgabp.conformal import (build_placement_step, carrier_plane,
                              compute_next_points, embed_point, extract_point,
                              make_translator, normalize_point, point_distance,
-                             reflect_in_plane, step_motor)
+                             reflect_in_plane)
 from cgabp.errors import DegenerateGeometryError
 from cgabp.ga import NI, NO, geometric_product as gp, reverse, scalar_product as sp, versor_apply
 from cgabp.geometry import (bond_angle, dihedral_angle, matrix_place_next, torsion_matrix,
                             trilaterate)
+from cgabp.solver import step_motor
 
 from conftest import (angle_gap, einsum_compose, householder_reflect, radii_from_internal,
                       random_placement_case)

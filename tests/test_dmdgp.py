@@ -124,6 +124,12 @@ class TestInstance:
         assert inst.edges is inst.edges
         assert repr(inst) == f"Instance(n={n}, edges={edges!r})"
         assert hash(inst) == hash((n, edges))
+        # a copy is rebuilt from the arrays: checked, indexed and read-only
+        for other in (shallow, deep, pickled):
+            assert "edges" not in vars(other)
+            assert not any(a.flags.writeable for a in (*other.edge_arrays(),
+                                                        other.clique_distances()))
+            assert other.pruning_lists() == inst.pruning_lists()
         for other in (shallow, deep, pickled, copy.deepcopy(inst),
                       pickle.loads(pickle.dumps(inst)), Instance(n, edges)):
             assert other == inst and hash(other) == hash(inst) and other.edges == edges

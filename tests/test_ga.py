@@ -13,6 +13,7 @@ from cgabp.ga import (DIM, E1, E2, E3, EM, EP, I5, I5_SQ, NI, NO, Multivector,
                       bivector_exp, dual, geometric_product as gp, grade_project,
                       outer_product as op, reverse, scalar, scalar_product as sp,
                       versor_apply, versor_inverse)
+from cgabp.solver import compose_motor_floats, motor_origin_floats
 
 from conftest import einsum_compose, einsum_origin, motor_tables
 
@@ -229,7 +230,7 @@ def test_motor_origin_matches_dense_sandwich(rng):
         translator = scalar(1.0) - gp(ga.euclidean_vector(rng.uniform(-3, 3, 3)), NI) * 0.5
         motor = gp(translator, rotor)
         dense = gp(gp(motor, NO), reverse(motor))
-        got = np.array(ga.motor_origin_floats(ga.motor_coeffs(motor)[0].tolist()))
+        got = np.array(motor_origin_floats(ga.motor_coeffs(motor)[0].tolist()))
         assert np.max(np.abs(got - dense.coeffs[[1, 2, 4]])) <= 1e-12
 
 
@@ -257,19 +258,19 @@ def test_float_motor_maps_match_the_dense_tables():
     product, origin = motor_tables()
     eye = np.eye(8).tolist()
     for i in range(8):
-        assert ga.motor_origin_floats(eye[i]) == tuple(origin[i, i])
+        assert motor_origin_floats(eye[i]) == tuple(origin[i, i])
         for j in range(8):
-            assert ga.compose_motor_floats(eye[i], eye[j]) == tuple(product[i, j])
+            assert compose_motor_floats(eye[i], eye[j]) == tuple(product[i, j])
             if i < j:
                 # the origin map is quadratic: e_i + e_j adds entries (i, j) and (j, i)
                 pair = np.add(eye[i], eye[j]).tolist()
                 expected = origin[i, i] + origin[j, j] + origin[i, j] + origin[j, i]
-                assert ga.motor_origin_floats(pair) == tuple(expected)
+                assert motor_origin_floats(pair) == tuple(expected)
 
 
 @settings(max_examples=300, deadline=None)
 @given(a=motor_vectors, b=motor_vectors)
 def test_float_motor_maps_are_bit_equal_to_einsum(a, b):
-    got = np.array(ga.compose_motor_floats(a.tolist(), b.tolist()))
+    got = np.array(compose_motor_floats(a.tolist(), b.tolist()))
     assert got.tobytes() == einsum_compose(a, b).tobytes()
-    assert np.array(ga.motor_origin_floats(a.tolist())).tobytes() == einsum_origin(a).tobytes()
+    assert np.array(motor_origin_floats(a.tolist())).tobytes() == einsum_origin(a).tobytes()

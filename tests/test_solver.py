@@ -12,7 +12,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cgabp.conformal import step_motor
 from cgabp.dmdgp import (Instance, format_points, generate_instance, ingest_coordinates,
                          internal_coordinates, validate_instance)
 from cgabp.errors import DegenerateGeometryError, InfeasibleInstanceError, InvalidInstanceError
@@ -20,7 +19,7 @@ from cgabp.geometry import bond_angle, matrix_place_next, verify_realization
 from cgabp import solver
 from cgabp.solver import (BranchPath, SolveOptions, expand_by_symmetry,
                           initialize_first_three, prune_check, reflect_suffix,
-                          solve, symmetry_vertices)
+                          solve, step_motor, symmetry_vertices)
 
 from conftest import einsum_compose, einsum_origin
 
