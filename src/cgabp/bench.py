@@ -27,32 +27,28 @@ MATRIX_COEFF_COUNT = 12  # 3x4 affine part; the bottom row is constant
 
 @dataclass(frozen=True)
 class BenchReport:
+    """Timings of one kernel, built only once its cross-check has passed:
+    a failed cross-check raises AssertionError instead."""
+
     op_name: str
     iterations: int
     total_time: dict[str, float]     # seconds, keyed "versor" / "matrix"
-    time_per_op: dict[str, float]
-    storage_coefficients_versor: int
-    storage_coefficients_matrix: int
-    cross_check_passed: bool
 
-    def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be positive")
-        if any(t < 0 for t in self.total_time.values()):
-            raise ValueError("times must be nonnegative")
+    @property
+    def time_per_op(self) -> dict[str, float]:
+        return {key: t / self.iterations for key, t in self.total_time.items()}
 
     def as_text(self) -> str:
         rows = [
             f"{self.op_name}: {self.iterations} iterations",
             f"  {'representation':<16}{'total [s]':>12}{'per op [us]':>14}{'storage':>9}",
         ]
-        for key, storage in (("versor", self.storage_coefficients_versor),
-                             ("matrix", self.storage_coefficients_matrix)):
+        for key, storage in (("versor", MOTOR_COEFF_COUNT), ("matrix", MATRIX_COEFF_COUNT)):
             rows.append(
                 f"  {key:<16}{self.total_time[key]:>12.6f}"
                 f"{self.time_per_op[key] * 1e6:>14.3f}{storage:>9d}"
             )
-        rows.append(f"  cross-check: {'ok' if self.cross_check_passed else 'FAILED'}")
+        rows.append("  cross-check: ok")
         return "\n".join(rows)
 
     def as_kv_lines(self) -> str:
@@ -63,9 +59,9 @@ class BenchReport:
             ("total_time.matrix", f"{self.total_time['matrix']:.9f}"),
             ("time_per_op.versor", f"{self.time_per_op['versor']:.12f}"),
             ("time_per_op.matrix", f"{self.time_per_op['matrix']:.12f}"),
-            ("storage_coefficients_versor", self.storage_coefficients_versor),
-            ("storage_coefficients_matrix", self.storage_coefficients_matrix),
-            ("cross_check_passed", int(self.cross_check_passed)),
+            ("storage_coefficients_versor", MOTOR_COEFF_COUNT),
+            ("storage_coefficients_matrix", MATRIX_COEFF_COUNT),
+            ("cross_check_passed", 1),
         ]
         return "\n".join(f"{self.op_name}.{k}={v}" for k, v in kv)
 
@@ -131,15 +127,7 @@ def bench_compose(count: int, seed: int = 0) -> BenchReport:
             ok = ok and bool(np.max(np.abs(via_motor - via_matrix)) <= 1e-8)
     if not ok:
         raise AssertionError("composition cross-check failed; refusing to report")
-    return BenchReport(
-        op_name="compose",
-        iterations=count,
-        total_time={"versor": t_motor, "matrix": t_matrix},
-        time_per_op={"versor": t_motor / count, "matrix": t_matrix / count},
-        storage_coefficients_versor=MOTOR_COEFF_COUNT,
-        storage_coefficients_matrix=MATRIX_COEFF_COUNT,
-        cross_check_passed=ok,
-    )
+    return BenchReport("compose", count, {"versor": t_motor, "matrix": t_matrix})
 
 
 def _random_placement_inputs(rng):
@@ -180,12 +168,4 @@ def bench_placement(count: int, seed: int = 0) -> BenchReport:
     )
     if not ok:
         raise AssertionError("placement cross-check failed; refusing to report")
-    return BenchReport(
-        op_name="placement",
-        iterations=count,
-        total_time={"versor": t_versor, "matrix": t_matrix},
-        time_per_op={"versor": t_versor / count, "matrix": t_matrix / count},
-        storage_coefficients_versor=MOTOR_COEFF_COUNT,
-        storage_coefficients_matrix=MATRIX_COEFF_COUNT,
-        cross_check_passed=ok,
-    )
+    return BenchReport("placement", count, {"versor": t_versor, "matrix": t_matrix})

@@ -18,6 +18,9 @@ from .errors import FileFormatError, InvalidInstanceError
 from .geometry import verify_realization
 from .solver import SolveOptions, solve
 
+_LISTED = 10   # missing clique edges, and triangle violations, that `solve` names
+
+
 def _eps(text: str) -> float:
     """argparse type of ``--eps``: a positive finite distance in angstroms."""
     try:
@@ -85,11 +88,15 @@ def _cmd_solve(args) -> int:
     try:
         solutions = solve(inst, opts)
     except InvalidInstanceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        for u, v in exc.report.missing_clique_edges:
-            print(f"  missing clique edge ({u},{v})", file=sys.stderr)
-        for v in exc.report.triangle_violations:
-            print(f"  triangle inequality not strict at vertex {v}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)   # the summary gives both counts
+        report = exc.report
+        for line, items in (("  missing clique edge (%d,%d)", report.missing_clique_edges),
+                            ("  triangle inequality not strict at vertex %d",
+                             report.triangle_violations)):
+            for item in items[:_LISTED]:
+                print(line % item, file=sys.stderr)
+            if len(items) > _LISTED:
+                print(f"  ... and {len(items) - _LISTED} more", file=sys.stderr)
         return 2
     print(f"solutions: {len(solutions)}")
     for k, (_, path) in enumerate(solutions, start=1):
@@ -110,7 +117,7 @@ def _cmd_generate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _write_text(args.out, format_instance(inst))
-    print(f"wrote {args.out}: n={inst.n}, {len(inst.edges)} edges")
+    print(f"wrote {args.out}: n={inst.n}, {len(inst.edge_arrays()[2])} edges")
     if args.truth:
         _write_text(args.truth, format_points(truth))
         print(f"wrote {args.truth}")

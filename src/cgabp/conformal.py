@@ -37,17 +37,16 @@ def normalize_point(p: Multivector) -> Multivector:
     return p / w
 
 
-def extract_point(p: Multivector, null_tol: float = 1e-10) -> np.ndarray:
+def extract_point(p: Multivector) -> np.ndarray:
     """Euclidean coordinates of a conformal point; inverse of embed_point.
 
     The input may carry any nonzero overall scale.  Inputs that are not
-    null vectors (within ``null_tol`` of the point's own scale) are
-    rejected.
+    null vectors (within 1e-10 of the point's own scale) are rejected.
     """
     pn = normalize_point(p)
     x = pn.coeffs[[1, 2, 4]].copy()
     scale = max(1.0, float(np.dot(x, x)))
-    if abs(sp(pn, pn)) > null_tol * scale:
+    if abs(sp(pn, pn)) > 1e-10 * scale:
         raise ValueError("multivector is not a null point")
     return x
 

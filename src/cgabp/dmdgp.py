@@ -11,9 +11,9 @@ judges its edges however it is made.  A file's edge lines are read by
 one ``np.loadtxt`` call, and the generator and ingestion (one row of
 pairs per vertex) build (u, v, d) arrays, so no Python loop runs over
 edges or pairs.  The tuple ``Instance.edges`` is built from those arrays
-on its first read: a parse, a solve, a verification or a formatted
-realization makes no Python object per edge, so a request leaves the
-cyclic garbage collector next to nothing to track.
+on its first read: a parse, a solve, a verification, a formatted
+instance or a formatted realization makes no Python object per edge, so
+a request leaves the cyclic garbage collector next to nothing to track.
 
 ``format_points`` keeps a memo of one entry, the bytes and text of the
 call before it.  Leading rows bit-equal to that call's keep their lines
@@ -52,14 +52,14 @@ class Instance:
 
     ``edges`` is the tuple of (u, v, d) in input order, as int, int and
     float.  The instance keeps the edges as the arrays of ``edge_arrays``
-    and builds that tuple on the first read of ``edges`` (``==``, ``hash``
-    and ``repr`` read it), then keeps it.  From the arrays it indexes the
-    clique distances of ``clique_distances``, gathered in one scatter, and
-    the pruning edges (v - u >= 4) of ``pruning_lists``, in CSR rows by v,
-    input order within a row.  Every edge must satisfy 1 <= u < v <= n,
-    appear once and have a positive finite distance: the first in input
-    order that does not raises ValueError, with the reason
-    ``_first_bad_edge`` gives it.
+    and builds that tuple on the first read of ``edges``, then keeps it;
+    within the package only ``==``, ``hash`` and ``repr`` read it.  From
+    the arrays it indexes the clique distances of ``clique_distances``,
+    gathered in one scatter, and the pruning edges (v - u >= 4) of
+    ``pruning_lists``, in CSR rows by v, input order within a row.  Every
+    edge must satisfy 1 <= u < v <= n, appear once and have a positive
+    finite distance: the first in input order that does not raises
+    ValueError, with the reason ``_first_bad_edge`` gives it.
     """
 
     n: int
@@ -168,9 +168,12 @@ def _first_bad_edge(n, u, v, d) -> tuple[int, str] | None:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    is_dmdgp: bool
     missing_clique_edges: tuple[tuple[int, int], ...]
     triangle_violations: tuple[int, ...]
+
+    @property
+    def is_dmdgp(self) -> bool:
+        return not (self.missing_clique_edges or self.triangle_violations)
 
 
 @dataclass(frozen=True)
@@ -185,7 +188,6 @@ class InternalCoords:
     to [-1, 1].
     """
 
-    n: int
     bond_lengths: np.ndarray
     bond_angles: np.ndarray
     dihedral_cos: np.ndarray
@@ -206,8 +208,7 @@ def validate_instance(inst: Instance) -> ValidationReport:
                            if i > k))
     # NaN compares False, so a triangle with a missing edge is skipped
     violations = (dist[2:, 1] >= dist[1:-1, 0] + dist[2:, 0]).nonzero()[0] + 1
-    return ValidationReport(not missing and not violations.size, missing,
-                            tuple(violations.tolist()))
+    return ValidationReport(missing, tuple(violations.tolist()))
 
 
 def internal_coordinates(inst: Instance) -> InternalCoords:
@@ -241,7 +242,7 @@ def internal_coordinates(inst: Instance) -> InternalCoords:
     cosines = np.minimum(np.maximum(raw, -1.0), 1.0)   # np.clip, without its wrapper's cost
     # d(i-3, i)^2 = g11 + g22 + g33 + 2 (g12 + g23 + b1.b3), b1.b3 = (g12 g23 - n1.n2) / g22
     placed = np.sqrt(np.maximum(sq3 + 2.0 * norms * (raw - cosines) / g22, 0.0))
-    return InternalCoords(inst.n, d1, np.arccos(cos_theta), cosines, np.abs(placed - d3))
+    return InternalCoords(d1, np.arccos(cos_theta), cosines, np.abs(placed - d3))
 
 
 def generate_instance(n: int, seed: int, extra_edge_fraction: float = 0.0):
@@ -342,9 +343,12 @@ def parse_instance(text: str) -> Instance:
 
 
 def format_instance(inst: Instance) -> str:
-    out = [f"{inst.n} {len(inst.edges)}"]
-    out += [f"{u} {v} {d:.17g}" for u, v, d in inst.edges]
-    return "\n".join(out) + "\n"
+    """The text of an instance file, written from ``edge_arrays()`` with
+    each distance in 17 significant digits, so that it reads back as the
+    same float."""
+    u, v, d = inst.edge_arrays()
+    return f"{inst.n} {len(d)}\n" + "".join(
+        ["%d %d %.17g\n" % edge for edge in zip(u.tolist(), v.tolist(), d.tolist())])
 
 
 def parse_points(text: str) -> np.ndarray:

@@ -194,16 +194,16 @@ def grade_project(a: Multivector, k: int) -> Multivector:
     return Multivector(np.where(GRADE == k, a.coeffs, 0.0))
 
 
-def versor_inverse(v: Multivector, tol: float = 1e-12) -> Multivector:
+def versor_inverse(v: Multivector) -> Multivector:
     """Inverse of a versor: reverse(v) / <v reverse(v)>_0.
 
-    Raises ValueError when v~v is smaller than ``tol`` (non-invertible) or
+    Raises ValueError when v~v is smaller than 1e-12 (non-invertible) or
     is not a scalar (v is not a versor).
     """
     vr = reverse(v)
     m = geometric_product(v, vr)
     s = m.scalar
-    if abs(s) < tol:
+    if abs(s) < 1e-12:
         raise ValueError("multivector is not invertible: v reverse(v) is ~0")
     rest = m - scalar(s)
     if rest.max_abs() > 1e-10 * max(1.0, abs(s)):
@@ -216,7 +216,7 @@ def versor_apply(v: Multivector, a: Multivector) -> Multivector:
     return geometric_product(geometric_product(v, a), versor_inverse(v))
 
 
-def bivector_exp(b: Multivector, tol: float = 1e-10) -> Multivector:
+def bivector_exp(b: Multivector) -> Multivector:
     """Closed-form exponential of a bivector with scalar square.
 
     For b*b = -s*s returns cos s + (sin s / s) b, for b*b = +s*s the cosh
@@ -224,11 +224,11 @@ def bivector_exp(b: Multivector, tol: float = 1e-10) -> Multivector:
     not a scalar (general mixed bivectors) is rejected.
     """
     off_grade = b.coeffs[GRADE != 2]
-    if np.max(np.abs(off_grade), initial=0.0) > tol * max(1.0, b.max_abs()):
+    if np.max(np.abs(off_grade), initial=0.0) > 1e-10 * max(1.0, b.max_abs()):
         raise ValueError("bivector_exp expects a pure grade-2 argument")
     b2 = geometric_product(b, b)
     s0 = b2.scalar
-    if (b2 - scalar(s0)).max_abs() > tol * max(1.0, b.max_abs() ** 2):
+    if (b2 - scalar(s0)).max_abs() > 1e-10 * max(1.0, b.max_abs() ** 2):
         raise ValueError("bivector square is not a scalar")
     if abs(s0) < 1e-12:
         return scalar(1.0) + b
@@ -239,12 +239,12 @@ def bivector_exp(b: Multivector, tol: float = 1e-10) -> Multivector:
     return scalar(math.cosh(r)) + b * (math.sinh(r) / r)
 
 
-def is_versor(v: Multivector, tol: float = 1e-10) -> bool:
-    """True when v reverse(v) is a nonzero scalar (within tol of pure scalar)."""
+def is_versor(v: Multivector) -> bool:
+    """True when v reverse(v) is a nonzero scalar (within 1e-10 of pure scalar)."""
     m = geometric_product(v, reverse(v))
     s = m.scalar
     scale = max(1.0, v.max_abs() ** 2)
-    return abs(s) > 1e-12 and (m - scalar(s)).max_abs() <= tol * scale
+    return abs(s) > 1e-12 and (m - scalar(s)).max_abs() <= 1e-10 * scale
 
 
 # -- distinguished elements -------------------------------------------------
@@ -344,11 +344,11 @@ def motor_from_coeffs(coords) -> Multivector:
     return from_null_basis_coeffs(nb)
 
 
-def format_multivector(a: Multivector, eps: float = 1e-12) -> str:
+def format_multivector(a: Multivector) -> str:
     """Human-readable form over the null basis, e.g. ``1.5 e12 - 0.5 e1 inf``."""
     nb = null_basis_coeffs(a)
     parts = []
-    for idx in np.nonzero(np.abs(nb) > eps)[0]:
+    for idx in np.nonzero(np.abs(nb) > 1e-12)[0]:
         coeff = nb[idx]
         name = NULL_BASIS_NAMES[idx]
         mag = f"{abs(coeff):g}"

@@ -21,14 +21,7 @@ class TrilaterationResult:
     """Intersection of three spheres: two points, a tangent point, or empty."""
 
     kind: str                      # "two-points" | "tangent-point" | "empty"
-    points: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        expected = {"two-points": 2, "tangent-point": 1, "empty": 0}
-        if self.kind not in expected:
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if len(self.points) != expected[self.kind]:
-            raise ValueError(f"kind {self.kind} expects {expected[self.kind]} points")
+    points: tuple[np.ndarray, ...]  # 2, 1 or 0 of them, as ``kind`` says
 
 
 def _local_frame(p1, p2, p3):
@@ -50,19 +43,18 @@ def _local_frame(p1, p2, p3):
     return p1, ex, ey, ez, nx, i, float(np.dot(ey, t))
 
 
-def trilaterate(p1, p2, p3, d1: float, d2: float, d3: float,
-                disc_tol: float = 1e-9) -> TrilaterationResult:
+def trilaterate(p1, p2, p3, d1: float, d2: float, d3: float) -> TrilaterationResult:
     """Intersect spheres of radii d1, d2, d3 centered at p1, p2, p3.
 
     The system is solved in the orthonormal frame of the centers; the
     out-of-plane discriminant decides the result kind: values in
-    [-disc_tol, 0] count as tangent, below that as empty.
+    [-1e-9, 0] count as tangent, below that as empty.
     """
     origin, ex, ey, ez, d, i, j = _local_frame(p1, p2, p3)
     x = (d1 * d1 - d2 * d2 + d * d) / (2.0 * d)
     y = (d1 * d1 - d3 * d3 + i * i + j * j) / (2.0 * j) - (i / j) * x
     z2 = d1 * d1 - x * x - y * y
-    if z2 < -disc_tol:
+    if z2 < -1e-9:
         return TrilaterationResult("empty", ())
     base = origin + x * ex + y * ey
     if z2 <= 0.0:

@@ -128,14 +128,6 @@ class BranchPath:
         path.__dict__["signs"] = signs
         return path
 
-    @classmethod
-    def from_string(cls, text: str) -> "BranchPath":
-        table = {"+": 1, "-": -1}
-        try:
-            return cls(tuple(table[ch] for ch in text))
-        except KeyError as exc:
-            raise ValueError(f"invalid branch character {exc.args[0]!r}") from None
-
 
 @dataclass(frozen=True)
 class SolveOptions:

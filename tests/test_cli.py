@@ -109,6 +109,25 @@ def test_invalid_instance_prints_report(tmp_path, capsys):
     assert "missing clique edge (1,4)" in err
 
 
+def test_invalid_instance_report_names_the_first_ten(tmp_path, capsys):
+    # a header of 50 vertices over the edges of vertices 1-3 misses 141
+    # clique edges; a straight chain of 20 has 18 non-strict triangles
+    line = "\n".join(f"{u} {v} {float(v - u)}" for u in range(1, 21)
+                     for v in range(u + 1, min(u + 3, 20) + 1))
+    cases = [("50 3\n1 2 1.0\n2 3 1.0\n1 3 1.5\n", 141, 0,
+              [f"  missing clique edge ({u},{v})" for u, v in
+               ((1, 4), (2, 4), (2, 5), (3, 4), (3, 5), (3, 6), (4, 5), (4, 6), (4, 7), (5, 6))]),
+             (f"20 54\n{line}\n", 0, 18,
+              [f"  triangle inequality not strict at vertex {v}" for v in range(1, 11)])]
+    for text, missing, flat, listed in cases:
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        assert run(["solve", str(path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: instance is not discretizable: {missing} missing clique edge(s), "
+            f"{flat} triangle violation(s)", *listed, f"  ... and {missing + flat - 10} more"]
+
+
 def test_no_solutions_exit_code(tmp_path):
     inst, _ = generate_instance(5, 4, 0.0)
     edges = [(u, v, d) for u, v, d in inst.edges if (u, v) != (1, 4)]
@@ -197,11 +216,28 @@ def test_undecodable_file_is_an_input_error(tmp_path, capsys):
         assert err.startswith(f"error: cannot read {binary}: ") and "Traceback" not in err
 
 
+def _bench_listing(kernel):
+    """What ``cgabp bench --count 20`` prints for one kernel, each timing
+    (a decimal number and the spaces before it) written as " #"."""
+    return [f"{kernel}: 20 iterations",
+            "  representation     total [s]   per op [us]  storage",
+            "  versor # #        8",
+            "  matrix # #       12",
+            "  cross-check: ok",
+            f"{kernel}.op={kernel}",
+            f"{kernel}.iterations=20",
+            *(f"{kernel}.{name}= #" for name in ("total_time.versor", "total_time.matrix",
+                                                 "time_per_op.versor", "time_per_op.matrix")),
+            f"{kernel}.storage_coefficients_versor=8",
+            f"{kernel}.storage_coefficients_matrix=12",
+            f"{kernel}.cross_check_passed=1",
+            ""]
+
+
 def test_bench_subcommand(capsys):
     assert run(["bench", "--count", "20", "--seed", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "compose.cross_check_passed=1" in out
-    assert "placement.cross_check_passed=1" in out
+    out = re.sub(r" *\d+\.\d+", " #", capsys.readouterr().out)
+    assert out.split("\n") == [*_bench_listing("compose"), *_bench_listing("placement"), ""]
 
 
 def test_usage_error_exit_code(capsys):

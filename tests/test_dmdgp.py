@@ -290,7 +290,7 @@ def reference_validate(inst):
         d02, d01, d12 = dist.get((v, v + 2)), dist.get((v, v + 1)), dist.get((v + 1, v + 2))
         if None not in (d02, d01, d12) and d02 >= d01 + d12:
             violations.append(v)
-    return ValidationReport(not missing and not violations, tuple(missing), tuple(violations))
+    return ValidationReport(tuple(missing), tuple(violations))
 
 
 def reference_internal_coordinates(inst):
@@ -312,7 +312,7 @@ def reference_internal_coordinates(inst):
     raw = (g12 * g23 - g13 * g22) / norms
     cosines = np.clip(raw, -1.0, 1.0)
     placed = np.sqrt(np.maximum(sq3 + 2.0 * norms * (raw - cosines) / g22, 0.0))
-    return InternalCoords(n, d1, np.arccos(cos_theta), cosines, np.abs(placed - d3))
+    return InternalCoords(d1, np.arccos(cos_theta), cosines, np.abs(placed - d3))
 
 
 @settings(max_examples=80, deadline=None)
@@ -349,7 +349,6 @@ def test_array_setup_matches_per_pair_reference(n, seed, extra, ingest, drop, fl
             internal_coordinates(inst)
         return
     got = internal_coordinates(inst)
-    assert got.n == expected.n
     for name in ("bond_lengths", "bond_angles", "dihedral_cos", "clique_miss"):
         a, b = getattr(got, name), getattr(expected, name)
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
@@ -485,6 +484,20 @@ class TestTextFormats:
         inst, _ = generate_instance(7, 99, 0.4)
         again = parse_instance(format_instance(inst))
         assert again == inst
+
+    def test_instance_text_matches_f_string_form(self):
+        # one line per edge as "u v d" with d in 17 significant digits,
+        # written from the edge arrays without building Instance.edges
+        tiny = tuple((1, v, d) for v, d in zip(range(2, 6), (5e-324, 1e308, 0.1, 1 / 3)))
+        cases = [Instance(5, tiny), Instance(3, ()), parse_instance("6 0\n")]
+        for n, seed in ((4, 0), (9, 1), (30, 2), (60, 3)):
+            inst, truth = generate_instance(n, seed, 0.3)
+            cases += [inst, ingest_coordinates(format_points(truth), cutoff=5.0)]
+        for inst in cases:
+            text = format_instance(inst)
+            assert "edges" not in vars(inst)
+            assert text == "\n".join([f"{inst.n} {len(inst.edges)}"] + [
+                f"{u} {v} {d:.17g}" for u, v, d in inst.edges]) + "\n"
 
     def test_comments_and_blank_lines(self):
         text = "# comment\n\n4 2\n1 2 1.0  # trailing\n3 4 2.0\n"

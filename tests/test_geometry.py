@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cgabp.dmdgp import Instance, generate_instance
 from cgabp.errors import DegenerateGeometryError
-from cgabp.geometry import (TrilaterationResult, bond_angle, dihedral_angle,
+from cgabp.geometry import (bond_angle, dihedral_angle,
                             matrix_place_next, torsion_matrix, trilaterate,
                             verify_realization)
 
@@ -32,7 +32,7 @@ class TestTrilaterate:
         centers = [np.array(c, dtype=float) for c in ((0, 0, 0), (2, 0, 0), (1, 1, 0))]
         radii = [np.linalg.norm(target - c) * (1.0 - 1e-12) for c in centers]
         res = trilaterate(*centers, *radii)
-        assert res.kind == "tangent-point"
+        assert res.kind == "tangent-point" and len(res.points) == 1
         assert np.allclose(res.points[0], target, atol=1e-6)
 
     def test_empty_case(self):
@@ -73,12 +73,6 @@ class TestTrilaterate:
                 a, b = res.points
                 mirrored = a - 2.0 * np.dot(a - centers[0], n) * n
                 assert np.allclose(mirrored, b, atol=1e-10)
-
-    def test_result_kind_consistency(self):
-        with pytest.raises(ValueError):
-            TrilaterationResult("two-points", (np.zeros(3),))
-        with pytest.raises(ValueError):
-            TrilaterationResult("nonsense", ())
 
 
 class TestMatrixPlaceNext:
