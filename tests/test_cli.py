@@ -112,12 +112,12 @@ def test_invalid_instance_prints_report(tmp_path, capsys):
 def test_invalid_instance_report_names_the_first_ten(tmp_path, capsys):
     # a header of 50 vertices over the edges of vertices 1-3 misses 141
     # clique edges; a straight chain of 20 has 18 non-strict triangles
-    line = "\n".join(f"{u} {v} {float(v - u)}" for u in range(1, 21)
-                     for v in range(u + 1, min(u + 3, 20) + 1))
+    chain = "\n".join(f"{u} {v} {float(v - u)}" for u in range(1, 21)
+                      for v in range(u + 1, min(u + 3, 20) + 1))
     cases = [("50 3\n1 2 1.0\n2 3 1.0\n1 3 1.5\n", 141, 0,
               [f"  missing clique edge ({u},{v})" for u, v in
                ((1, 4), (2, 4), (2, 5), (3, 4), (3, 5), (3, 6), (4, 5), (4, 6), (4, 7), (5, 6))]),
-             (f"20 54\n{line}\n", 0, 18,
+             (f"20 54\n{chain}\n", 0, 18,
               [f"  triangle inequality not strict at vertex {v}" for v in range(1, 11)])]
     for text, missing, flat, listed in cases:
         path = tmp_path / "bad.txt"

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from cgabp.dmdgp import Instance, generate_instance
 from cgabp.errors import DegenerateGeometryError
-from cgabp.geometry import (bond_angle, dihedral_angle,
-                            matrix_place_next, torsion_matrix, trilaterate,
-                            verify_realization)
+from cgabp.geometry import (bond_angle, dihedral_angle, matrix_place_next, torsion_matrix,
+                            trilaterate, verify_realization)
 
 from conftest import angle_gap, radii_from_internal, random_placement_case
 
